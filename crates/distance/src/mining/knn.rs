@@ -30,6 +30,57 @@ pub struct Classified {
     pub nearest_index: usize,
 }
 
+/// Ranks training instances by score and takes the k-NN vote: the final
+/// step of [`KnnClassifier::classify`], shared with callers that evaluate
+/// the distances themselves (the server's coalesced kNN).
+///
+/// `raw[i]` is instance `i`'s distance, or its similarity when `invert` is
+/// set; `label_of(i)` is its label. Similarities are negated as
+/// `0.0 - raw`, so a zero similarity scores `+0.0`. Scores sort with
+/// `total_cmp`, ties going to the lower index. The `k` nearest (`k` is
+/// clamped to `1..=raw.len()`) vote by majority, and a tied vote goes to
+/// the single nearest instance's label.
+///
+/// # Panics
+///
+/// Panics if `raw` is empty.
+pub fn rank_and_vote(
+    raw: &[f64],
+    invert: bool,
+    k: usize,
+    label_of: impl Fn(usize) -> usize,
+) -> Classified {
+    assert!(!raw.is_empty(), "kNN vote over no training instances");
+    let mut scored: Vec<(usize, f64)> = raw
+        .iter()
+        .map(|&r| if invert { 0.0 - r } else { r })
+        .enumerate()
+        .collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let k = k.clamp(1, scored.len());
+    let mut votes = std::collections::HashMap::new();
+    for &(idx, _) in &scored[..k] {
+        *votes.entry(label_of(idx)).or_insert(0usize) += 1;
+    }
+    let nearest = scored[0];
+    let best_count = *votes.values().max().expect("k >= 1");
+    let winners: Vec<usize> = votes
+        .iter()
+        .filter(|(_, &c)| c == best_count)
+        .map(|(&l, _)| l)
+        .collect();
+    let label = if winners.len() == 1 {
+        winners[0]
+    } else {
+        label_of(nearest.0)
+    };
+    Classified {
+        label,
+        score: nearest.1,
+        nearest_index: nearest.0,
+    }
+}
+
 /// A k-NN classifier parameterised by any [`Distance`].
 ///
 /// For similarity functions (LCS) the neighbour ordering is inverted
@@ -168,9 +219,9 @@ impl KnnClassifier {
             _ => None,
         };
         // One distance per training instance, sharded over the engine's
-        // workers; scores come back in training-index order, so the stable
-        // sort below breaks ties by index exactly as the serial loop did.
-        let scores = self
+        // workers; they come back in training-index order, which is the
+        // order `rank_and_vote` breaks score ties by.
+        let raw = self
             .engine
             .try_map_scratch(&self.train, |scratch, idx, inst| {
                 if idx >= head {
@@ -183,35 +234,9 @@ impl KnnClassifier {
                         }
                     }
                 }
-                // `0.0 - raw` so a zero similarity negates to +0.0, keeping
-                // `total_cmp` ties identical to the old partial_cmp ordering.
-                let raw = self.distance.evaluate_with(query, &inst.series, scratch)?;
-                Ok(if invert { 0.0 - raw } else { raw })
+                self.distance.evaluate_with(query, &inst.series, scratch)
             })?;
-        let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let k = self.k.min(scored.len());
-        let mut votes = std::collections::HashMap::new();
-        for &(idx, _) in &scored[..k] {
-            *votes.entry(self.train[idx].label).or_insert(0usize) += 1;
-        }
-        let nearest = scored[0];
-        let best_count = *votes.values().max().expect("k >= 1");
-        let winners: Vec<usize> = votes
-            .iter()
-            .filter(|(_, &c)| c == best_count)
-            .map(|(&l, _)| l)
-            .collect();
-        let label = if winners.len() == 1 {
-            winners[0]
-        } else {
-            self.train[nearest.0].label
-        };
-        Ok(Classified {
-            label,
-            score: nearest.1,
-            nearest_index: nearest.0,
-        })
+        Ok(rank_and_vote(&raw, invert, self.k, |i| self.train[i].label))
     }
 
     /// Leave-one-out accuracy over the training set — the standard UCR

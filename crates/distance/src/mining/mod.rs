@@ -21,7 +21,7 @@ pub mod prefilter;
 pub mod search;
 
 pub use kmedoids::{KMedoids, KMedoidsResult};
-pub use knn::{Classified, KnnClassifier};
+pub use knn::{rank_and_vote, Classified, KnnClassifier};
 pub use motif::{Motif, MotifDiscovery, MotifStats};
 pub use prefilter::{AdmitAll, CandidateFilter, CandidatePredicate};
 pub use search::{SearchStats, SubsequenceSearch};

@@ -88,27 +88,11 @@ impl ClientError {
     }
 }
 
-/// Per-query options (legacy positional form).
-///
-/// New code should use the [`QueryOptions`] builder, which adds accuracy
-/// SLAs and resident-dataset references; this struct remains for the
-/// deprecated positional helpers and converts losslessly via [`From`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryOpts {
-    /// Match threshold override (LCS/EdD/HamD); `None` = paper default.
-    pub threshold: Option<f64>,
-    /// Sakoe–Chiba radius (DTW); `None` = full matrix.
-    pub band: Option<usize>,
-    /// Queue-wait budget in milliseconds.
-    pub deadline_ms: Option<u64>,
-}
-
 /// Builder-style per-query options for the `query_*` methods.
 ///
-/// The default options encode to exactly the same wire bytes as the legacy
-/// positional helpers with [`QueryOpts::default`] — a request with no
-/// explicit accuracy is byte-identical to the pre-routing protocol and is
-/// answered by the bitwise digital path.
+/// With the default options a request carries no explicit accuracy: it is
+/// byte-identical to the pre-routing protocol and is answered by the
+/// bitwise digital path.
 ///
 /// ```no_run
 /// use std::time::Duration;
@@ -169,18 +153,6 @@ impl QueryOptions {
     pub fn band(mut self, radius: usize) -> QueryOptions {
         self.band = Some(radius);
         self
-    }
-}
-
-impl From<QueryOpts> for QueryOptions {
-    fn from(opts: QueryOpts) -> QueryOptions {
-        QueryOptions {
-            threshold: opts.threshold,
-            band: opts.band,
-            deadline_ms: opts.deadline_ms,
-            accuracy: None,
-            dataset: None,
-        }
     }
 }
 
@@ -486,159 +458,6 @@ impl Client {
             }),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
         }
-    }
-
-    /// Evaluates one distance with default options.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply.
-    #[deprecated(since = "0.1.0", note = "use `query_distance` with `QueryOptions`")]
-    pub fn distance(
-        &mut self,
-        kind: DistanceKind,
-        p: &[f64],
-        q: &[f64],
-    ) -> Result<f64, ClientError> {
-        self.query_distance(kind, p, q, &QueryOptions::new())
-            .map(|r| r.value)
-    }
-
-    /// Evaluates one distance.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply.
-    #[deprecated(since = "0.1.0", note = "use `query_distance` with `QueryOptions`")]
-    pub fn distance_with(
-        &mut self,
-        kind: DistanceKind,
-        p: &[f64],
-        q: &[f64],
-        opts: QueryOpts,
-    ) -> Result<f64, ClientError> {
-        self.query_distance(kind, p, q, &opts.into())
-            .map(|r| r.value)
-    }
-
-    /// Evaluates a pairwise batch; one value per pair, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply.
-    #[deprecated(since = "0.1.0", note = "use `query_batch` with `QueryOptions`")]
-    pub fn batch(
-        &mut self,
-        kind: DistanceKind,
-        pairs: &[(Vec<f64>, Vec<f64>)],
-        opts: QueryOpts,
-    ) -> Result<Vec<f64>, ClientError> {
-        self.query_batch(kind, pairs, None, &opts.into())
-            .map(|r| r.value)
-    }
-
-    /// Evaluates `query` against every series of a resident dataset; one
-    /// value per dataset series, in upload order.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply (`not_found` /
-    /// `stale_version` when the reference fails to resolve).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch` with `QueryOptions::dataset`"
-    )]
-    pub fn batch_resident(
-        &mut self,
-        kind: DistanceKind,
-        query: &[f64],
-        dataset: DatasetRef,
-        opts: QueryOpts,
-    ) -> Result<Vec<f64>, ClientError> {
-        let opts = QueryOptions::from(opts).dataset(dataset);
-        self.query_batch(kind, &[], Some(query), &opts)
-            .map(|r| r.value)
-    }
-
-    /// Classifies `query` against a labelled training set.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply.
-    #[deprecated(since = "0.1.0", note = "use `query_knn` with `QueryOptions`")]
-    pub fn knn(
-        &mut self,
-        kind: DistanceKind,
-        k: usize,
-        query: &[f64],
-        train: &[TrainInstance],
-        opts: QueryOpts,
-    ) -> Result<KnnOutcome, ClientError> {
-        self.query_knn(kind, k, query, train, &opts.into())
-            .map(|r| r.value)
-    }
-
-    /// Classifies `query` against a resident dataset's labelled series.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply (`not_found` /
-    /// `stale_version` when the reference fails to resolve).
-    #[deprecated(since = "0.1.0", note = "use `query_knn` with `QueryOptions::dataset`")]
-    pub fn knn_resident(
-        &mut self,
-        kind: DistanceKind,
-        k: usize,
-        query: &[f64],
-        dataset: DatasetRef,
-        opts: QueryOpts,
-    ) -> Result<KnnOutcome, ClientError> {
-        let opts = QueryOptions::from(opts).dataset(dataset);
-        self.query_knn(kind, k, query, &[], &opts).map(|r| r.value)
-    }
-
-    /// Finds the best-matching window of `query` in `haystack` under
-    /// banded DTW.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply.
-    #[deprecated(since = "0.1.0", note = "use `query_search` with `QueryOptions`")]
-    pub fn search(
-        &mut self,
-        query: &[f64],
-        haystack: &[f64],
-        window: usize,
-        band: usize,
-        opts: QueryOpts,
-    ) -> Result<SearchOutcome, ClientError> {
-        self.query_search(query, haystack, 0, window, band, &opts.into())
-            .map(|r| r.value)
-    }
-
-    /// Finds the best-matching window of `query` in series `series_index`
-    /// of a resident dataset.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures or a server error reply (`not_found` /
-    /// `stale_version` when the reference fails to resolve).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_search` with `QueryOptions::dataset`"
-    )]
-    pub fn search_resident(
-        &mut self,
-        query: &[f64],
-        dataset: DatasetRef,
-        series_index: usize,
-        window: usize,
-        band: usize,
-        opts: QueryOpts,
-    ) -> Result<SearchOutcome, ClientError> {
-        let opts = QueryOptions::from(opts).dataset(dataset);
-        self.query_search(query, &[], series_index, window, band, &opts)
-            .map(|r| r.value)
     }
 
     /// Uploads (or idempotently re-uploads) a resident dataset. Returns

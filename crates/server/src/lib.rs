@@ -94,8 +94,8 @@ pub mod server;
 pub mod streams;
 
 pub use client::{
-    Client, ClientError, KnnOutcome, PushedPoints, QueryOptions, QueryOpts, Routed, SearchOutcome,
-    StreamOpen, Subscription,
+    Client, ClientError, KnnOutcome, PushedPoints, QueryOptions, Routed, SearchOutcome, StreamOpen,
+    Subscription,
 };
 pub use config::{ConfigError, ServerConfig};
 pub use datasets::{DatasetStore, ResolveError};

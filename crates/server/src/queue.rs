@@ -26,6 +26,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mda_distance::mining::rank_and_vote;
 use mda_distance::{BatchEngine, DistanceError, DpScratch};
 use mda_routing::PowerLease;
 
@@ -345,7 +346,7 @@ fn assemble(assemble: &Assemble, outcomes: &[Result<ItemOutcome, DistanceError>]
         Ok(ItemOutcome::Value(v)) => v,
         _ => f64::NAN,
     };
-    match assemble {
+    let body = match assemble {
         Assemble::Single => match outcomes.first() {
             Some(Ok(ItemOutcome::Value(value))) => ResponseBody::Distance { value: *value },
             _ => internal("distance job had no value outcome"),
@@ -367,41 +368,37 @@ fn assemble(assemble: &Assemble, outcomes: &[Result<ItemOutcome, DistanceError>]
                     message: "classifier has no training data".into(),
                 };
             }
-            // Mirrors `KnnClassifier::classify` exactly: scores in training
-            // order, stable sort (ties to lowest index), majority vote with
-            // vote-ties broken by the single nearest neighbour's label.
-            let mut scored: Vec<(usize, f64)> = (0..outcomes.len())
-                .map(|i| {
-                    let raw = value_at(i);
-                    (i, if *invert { -raw } else { raw })
-                })
-                .collect();
-            if scored.iter().any(|(_, s)| s.is_nan()) {
-                return internal("non-finite kNN score");
-            }
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("scores checked finite"));
-            let k = (*k).min(scored.len());
-            let mut votes = std::collections::HashMap::new();
-            for &(idx, _) in &scored[..k] {
-                *votes.entry(labels[idx]).or_insert(0usize) += 1;
-            }
-            let nearest = scored[0];
-            let best_count = *votes.values().max().expect("k >= 1");
-            let winners: Vec<usize> = votes
-                .iter()
-                .filter(|(_, &c)| c == best_count)
-                .map(|(&l, _)| l)
-                .collect();
-            let label = if winners.len() == 1 {
-                winners[0]
-            } else {
-                labels[nearest.0]
-            };
+            // The library's own rank-and-vote step, so a served kNN is
+            // bitwise identical to `KnnClassifier::classify`.
+            let raw: Vec<f64> = (0..outcomes.len()).map(value_at).collect();
+            let c = rank_and_vote(&raw, *invert, *k, |i| labels[i]);
             ResponseBody::Knn {
-                label,
-                score: nearest.1,
-                nearest_index: nearest.0,
+                label: c.label,
+                score: c.score,
+                nearest_index: c.nearest_index,
             }
+        }
+    };
+    finite_or_error(body)
+}
+
+/// A non-finite result (a distance that overflows `f64`) has no JSON form:
+/// it would go out as `null`, which no client decodes. It is answered with
+/// a typed `invalid_parameter` error instead.
+fn finite_or_error(body: ResponseBody) -> ResponseBody {
+    let finite = match &body {
+        ResponseBody::Distance { value } => value.is_finite(),
+        ResponseBody::Batch { values } => values.iter().all(|v| v.is_finite()),
+        ResponseBody::Search { distance, .. } => distance.is_finite(),
+        ResponseBody::Knn { score, .. } => score.is_finite(),
+        _ => true,
+    };
+    if finite {
+        body
+    } else {
+        ResponseBody::Error {
+            code: ErrorCode::InvalidParameter,
+            message: "the result is not a finite number: the inputs overflow f64".into(),
         }
     }
 }

@@ -55,12 +55,29 @@ fn concurrent_clients_match_direct_library_calls_bitwise() {
     }
     let expected_knn = knn.classify(&p).expect("direct kNN");
 
+    // LCS with zero similarity to every training series: the library
+    // scores each neighbour `0.0 - 0.0 = +0.0`, and the server must too.
+    let lcs_query = vec![100.0, 101.0, 102.0, 103.0];
+    let lcs_train: Vec<TrainInstance> = (0..4)
+        .map(|i| TrainInstance {
+            label: i,
+            series: vec![i as f64; 4],
+        })
+        .collect();
+    let mut lcs_knn = KnnClassifier::new(boxed_distance(DistanceKind::Lcs), 1);
+    for t in &lcs_train {
+        lcs_knn.fit(t.label, t.series.clone());
+    }
+    let expected_lcs = lcs_knn.classify(&lcs_query).expect("direct LCS kNN");
+    assert_eq!(expected_lcs.score.to_bits(), 0.0f64.to_bits());
+
     let clients = 6;
     std::thread::scope(|scope| {
         for c in 0..clients {
             let (p, q, train) = (&p, &q, &train);
             let expected_distance = &expected_distance;
             let expected_knn = &expected_knn;
+            let (lcs_query, lcs_train, expected_lcs) = (&lcs_query, &lcs_train, &expected_lcs);
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 // Interleave ops differently per client to force coalescing
@@ -84,6 +101,19 @@ fn concurrent_clients_match_direct_library_calls_bitwise() {
                     assert_eq!(got.label, expected_knn.label);
                     assert_eq!(got.score.to_bits(), expected_knn.score.to_bits());
                     assert_eq!(got.nearest_index, expected_knn.nearest_index);
+                    let got = client
+                        .query_knn(
+                            DistanceKind::Lcs,
+                            1,
+                            lcs_query,
+                            lcs_train,
+                            &QueryOptions::new(),
+                        )
+                        .expect("served LCS kNN")
+                        .value;
+                    assert_eq!(got.label, expected_lcs.label);
+                    assert_eq!(got.score.to_bits(), expected_lcs.score.to_bits());
+                    assert_eq!(got.nearest_index, expected_lcs.nearest_index);
                 }
             });
         }
@@ -366,6 +396,62 @@ fn malformed_and_bad_requests_answered_without_closing_healthy_path() {
         .expect("healthy follow-up")
         .value;
     assert_eq!(d, 2.0);
+    server.shutdown_and_join();
+}
+
+#[test]
+fn overflowing_distance_is_a_typed_error_and_the_server_keeps_answering() {
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (p, q) = (vec![1e308, 1e308], vec![-1e308, -1e308]);
+    let is_invalid_parameter = |err: &ClientError| {
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::InvalidParameter,
+                ..
+            }
+        )
+    };
+    let opts = QueryOptions::new();
+    for kind in [DistanceKind::Manhattan, DistanceKind::Hausdorff] {
+        // Finite inputs whose distance is `inf`: once answered as `null`,
+        // which no client could decode.
+        let err = client
+            .query_distance(kind, &p, &q, &opts)
+            .expect_err("an infinite distance has no wire form");
+        assert!(is_invalid_parameter(&err), "{kind}: {err}");
+        let pairs = [(vec![0.0, 1.0], vec![0.0, 3.0]), (p.clone(), q.clone())];
+        let err = client
+            .query_batch(kind, &pairs, None, &opts)
+            .expect_err("an infinite batch value has no wire form");
+        assert!(is_invalid_parameter(&err), "{kind} batch: {err}");
+        let train = [TrainInstance {
+            label: 1,
+            series: q.clone(),
+        }];
+        let err = client
+            .query_knn(kind, 1, &p, &train, &opts)
+            .expect_err("an infinite kNN score has no wire form");
+        assert!(is_invalid_parameter(&err), "{kind} kNN: {err}");
+    }
+    // The same connection, and a fresh one, keep being served.
+    let d = client
+        .query_distance(DistanceKind::Manhattan, &[0.0, 1.0], &[0.0, 3.0], &opts)
+        .expect("healthy follow-up")
+        .value;
+    assert_eq!(d, 2.0);
+    let mut fresh = Client::connect(server.local_addr()).expect("reconnect");
+    let got = fresh
+        .query_batch(
+            DistanceKind::Manhattan,
+            &[(vec![0.0, 1.0], vec![0.0, 3.0])],
+            None,
+            &opts,
+        )
+        .expect("fresh connection served")
+        .value;
+    assert_eq!(got, [2.0]);
     server.shutdown_and_join();
 }
 
