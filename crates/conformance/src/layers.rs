@@ -187,8 +187,10 @@ pub fn server_routed(
 /// The value served through the **resident-dataset** path: the case's `q`
 /// is uploaded as a one-entry dataset, a k=1 kNN query with `p` references
 /// it by content-addressed id, and the raw distance is recovered from the
-/// single neighbour's score (the queue negates scores for similarity
-/// kinds, so LCS is negated back). The dataset is dropped afterwards.
+/// single neighbour's score. kNN scores a similarity kind as `0.0 - raw`
+/// (`mda_distance::mining::rank_and_vote`), so LCS is recovered as
+/// `0.0 - score`, which maps a zero similarity back to `+0.0`. The dataset
+/// is dropped afterwards.
 ///
 /// # Errors
 ///
@@ -209,7 +211,7 @@ pub fn server_resident(client: &mut Client, case: &CaseSpec) -> Result<f64, Clie
     let _ = client.drop_dataset(DatasetRef::by_id(&dataset_id));
     let outcome = outcome?.value;
     Ok(if case.kind.is_similarity() {
-        -outcome.score
+        0.0 - outcome.score
     } else {
         outcome.score
     })
