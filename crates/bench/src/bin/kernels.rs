@@ -4,11 +4,16 @@
 //!
 //! Three gates, all serial (one simulated accelerator host core):
 //!
-//! 1. **Identity (fatal)** — every reworked kernel must return bitwise the
-//!    same value as its frozen baseline over a shape/band sweep, and the
-//!    reworked search must return the baseline's match (offset and distance
-//!    bits). Any mismatch exits non-zero.
-//! 2. **ns/cell** — per-kernel serial throughput, baseline vs reworked.
+//! 1. **Identity (fatal)** — every reworked kernel, the early-abandon
+//!    kernel at an infinite budget included, must return bitwise the same
+//!    value as its frozen baseline over a shape/band sweep; the reworked
+//!    search must return the baseline's match (offset and distance bits);
+//!    and the pruned banded-DTW kNN scan must answer every query bitwise
+//!    as the exhaustive `KnnClassifier` does on a seeded 4-class corpus.
+//!    Any mismatch exits non-zero.
+//! 2. **ns/cell** — per-kernel serial throughput, baseline vs reworked,
+//!    plus the kNN scan's seconds and prune partition against the
+//!    exhaustive classifier.
 //! 3. **Search speedup (fatal)** — end-to-end subsequence search must be
 //!    ≥ 2× faster than the pre-rework path on the standard workload.
 //!
@@ -19,7 +24,9 @@ use std::time::Instant;
 
 use mda_bench::kernels_baseline as baseline;
 use mda_bench::Table;
-use mda_distance::mining::SubsequenceSearch;
+use mda_distance::mining::{
+    banded_dtw_knn, Classified, KnnClassifier, KnnStats, SubsequenceSearch,
+};
 use mda_distance::quantized::QuantizedDtw;
 use mda_distance::{Band, BatchEngine, DpScratch, Dtw, EditDistance, Lcs};
 
@@ -88,6 +95,21 @@ fn identity_sweep() -> usize {
                 new.map(f64::to_bits),
                 baseline::dtw(&p, &q, r).map(f64::to_bits),
             );
+            if let Some(r) = r {
+                let new = Dtw::new()
+                    .with_band(band)
+                    .distance_early_abandon_with(&p, &q, f64::INFINITY, &mut scratch)
+                    .ok()
+                    .flatten();
+                check(
+                    &format!("dtw early abandon {m}x{n} r={r}"),
+                    new.map(f64::to_bits),
+                    baseline::dtw_early_abandon(&p, &q, r, f64::INFINITY)
+                        .ok()
+                        .flatten()
+                        .map(f64::to_bits),
+                );
+            }
         }
         check(
             &format!("lcs {m}x{n}"),
@@ -103,6 +125,31 @@ fn identity_sweep() -> usize {
     mismatches
 }
 
+/// Times `baseline` and `new` (best of 3 each) over `cells` DP cells; their
+/// checksums must agree bitwise.
+fn timed_row(
+    name: &'static str,
+    cells: u64,
+    baseline: impl FnMut() -> f64,
+    new: impl FnMut() -> f64,
+    mismatches: &mut usize,
+) -> KernelRow {
+    let (t_base, sum_base) = best_of_3(baseline);
+    let (t_new, sum_new) = best_of_3(new);
+    let identical = sum_base.to_bits() == sum_new.to_bits();
+    if !identical {
+        eprintln!("IDENTITY MISMATCH: {name} batch checksum");
+        *mismatches += 1;
+    }
+    KernelRow {
+        name,
+        cells,
+        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
+        new_ns_per_cell: t_new * 1e9 / cells as f64,
+        identical,
+    }
+}
+
 fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
     let mut mismatches = 0usize;
     let inputs: Vec<(Vec<f64>, Vec<f64>)> = (0..pairs)
@@ -110,116 +157,111 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
         .collect();
     let cells = (pairs * len * len) as u64;
     let banded_r = (len / 20).max(1);
-    let mut rows = Vec::new();
-
-    // DTW, full band.
-    let (t_base, sum_base) = best_of_3(|| {
-        inputs
-            .iter()
-            .map(|(p, q)| baseline::dtw(p, q, None).unwrap())
-            .sum()
-    });
-    let (t_new, sum_new) = best_of_3(|| {
-        let mut scratch = DpScratch::new();
-        let dtw = Dtw::new();
-        inputs
-            .iter()
-            .map(|(p, q)| dtw.distance_with(p, q, &mut scratch).unwrap())
-            .sum()
-    });
-    if sum_base.to_bits() != sum_new.to_bits() {
-        eprintln!("IDENTITY MISMATCH: dtw_full batch checksum");
-        mismatches += 1;
-    }
-    rows.push(KernelRow {
-        name: "dtw_full",
-        cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
-        new_ns_per_cell: t_new * 1e9 / cells as f64,
-        identical: sum_base.to_bits() == sum_new.to_bits(),
-    });
-
-    // DTW, 5%-style band. Cells = the active band cells.
     let band_cells = (Band::SakoeChiba(banded_r).active_cells(len, len) * pairs) as u64;
-    let (t_base, sum_base) = best_of_3(|| {
-        inputs
-            .iter()
-            .map(|(p, q)| baseline::dtw(p, q, Some(banded_r)).unwrap())
-            .sum()
-    });
-    let (t_new, sum_new) = best_of_3(|| {
-        let mut scratch = DpScratch::new();
-        let dtw = Dtw::new().with_band(Band::SakoeChiba(banded_r));
-        inputs
-            .iter()
-            .map(|(p, q)| dtw.distance_with(p, q, &mut scratch).unwrap())
-            .sum()
-    });
-    if sum_base.to_bits() != sum_new.to_bits() {
-        eprintln!("IDENTITY MISMATCH: dtw_banded batch checksum");
-        mismatches += 1;
-    }
-    rows.push(KernelRow {
-        name: "dtw_banded",
-        cells: band_cells,
-        baseline_ns_per_cell: t_base * 1e9 / band_cells as f64,
-        new_ns_per_cell: t_new * 1e9 / band_cells as f64,
-        identical: sum_base.to_bits() == sum_new.to_bits(),
-    });
-
-    // LCS.
-    let (t_base, sum_base) = best_of_3(|| {
-        inputs
-            .iter()
-            .map(|(p, q)| baseline::lcs(p, q, 0.3, 1.0))
-            .sum()
-    });
-    let (t_new, sum_new) = best_of_3(|| {
-        let mut scratch = DpScratch::new();
-        let lcs = Lcs::new(0.3);
-        inputs
-            .iter()
-            .map(|(p, q)| lcs.similarity_with(p, q, &mut scratch).unwrap())
-            .sum()
-    });
-    if sum_base.to_bits() != sum_new.to_bits() {
-        eprintln!("IDENTITY MISMATCH: lcs batch checksum");
-        mismatches += 1;
-    }
-    rows.push(KernelRow {
-        name: "lcs",
-        cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
-        new_ns_per_cell: t_new * 1e9 / cells as f64,
-        identical: sum_base.to_bits() == sum_new.to_bits(),
-    });
-
-    // Edit distance.
-    let (t_base, sum_base) = best_of_3(|| {
-        inputs
-            .iter()
-            .map(|(p, q)| baseline::edit(p, q, 0.3, 1.0))
-            .sum()
-    });
-    let (t_new, sum_new) = best_of_3(|| {
-        let mut scratch = DpScratch::new();
-        let edit = EditDistance::new(0.3);
-        inputs
-            .iter()
-            .map(|(p, q)| edit.distance_with(p, q, &mut scratch).unwrap())
-            .sum()
-    });
-    if sum_base.to_bits() != sum_new.to_bits() {
-        eprintln!("IDENTITY MISMATCH: edit batch checksum");
-        mismatches += 1;
-    }
-    rows.push(KernelRow {
-        name: "edit",
-        cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
-        new_ns_per_cell: t_new * 1e9 / cells as f64,
-        identical: sum_base.to_bits() == sum_new.to_bits(),
-    });
+    let banded = Dtw::new().with_band(Band::SakoeChiba(banded_r));
+    let mut scratch = DpScratch::new();
+    let mut rows = vec![
+        timed_row(
+            "dtw_full",
+            cells,
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| baseline::dtw(p, q, None).unwrap())
+                    .sum()
+            },
+            || {
+                let dtw = Dtw::new();
+                inputs
+                    .iter()
+                    .map(|(p, q)| dtw.distance_with(p, q, &mut scratch).unwrap())
+                    .sum()
+            },
+            &mut mismatches,
+        ),
+        // 5%-style band; cells = the active band cells.
+        timed_row(
+            "dtw_banded",
+            band_cells,
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| baseline::dtw(p, q, Some(banded_r)).unwrap())
+                    .sum()
+            },
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| banded.distance_with(p, q, &mut scratch).unwrap())
+                    .sum()
+            },
+            &mut mismatches,
+        ),
+        // The early-abandon kernel the cascades and the kNN scan finish
+        // on, at an infinite budget so every cell is computed.
+        timed_row(
+            "dtw_banded_abandon",
+            band_cells,
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| {
+                        baseline::dtw_early_abandon(p, q, banded_r, f64::INFINITY)
+                            .unwrap()
+                            .unwrap()
+                    })
+                    .sum()
+            },
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| {
+                        banded
+                            .distance_early_abandon_with(p, q, f64::INFINITY, &mut scratch)
+                            .unwrap()
+                            .unwrap()
+                    })
+                    .sum()
+            },
+            &mut mismatches,
+        ),
+        timed_row(
+            "lcs",
+            cells,
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| baseline::lcs(p, q, 0.3, 1.0))
+                    .sum()
+            },
+            || {
+                let lcs = Lcs::new(0.3);
+                inputs
+                    .iter()
+                    .map(|(p, q)| lcs.similarity_with(p, q, &mut scratch).unwrap())
+                    .sum()
+            },
+            &mut mismatches,
+        ),
+        timed_row(
+            "edit",
+            cells,
+            || {
+                inputs
+                    .iter()
+                    .map(|(p, q)| baseline::edit(p, q, 0.3, 1.0))
+                    .sum()
+            },
+            || {
+                let edit = EditDistance::new(0.3);
+                inputs
+                    .iter()
+                    .map(|(p, q)| edit.distance_with(p, q, &mut scratch).unwrap())
+                    .sum()
+            },
+            &mut mismatches,
+        ),
+    ];
 
     // Quantized opt-in path (i16 codes, f32 accumulation). No bitwise gate
     // — its contract is the behavioural bound, tested in mda-conformance —
@@ -231,12 +273,111 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
     rows.push(KernelRow {
         name: "dtw_quantized",
         cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
+        baseline_ns_per_cell: rows[0].baseline_ns_per_cell,
         new_ns_per_cell: t_quant * 1e9 / cells as f64,
         identical: true,
     });
 
     (rows, mismatches)
+}
+
+struct KnnRun {
+    instances: usize,
+    queries: usize,
+    k: usize,
+    radius: usize,
+    exhaustive_seconds: f64,
+    pruned_seconds: f64,
+    stats: KnnStats,
+    identical: bool,
+}
+
+/// A seeded 4-class corpus: class `c` is a sine of frequency
+/// `0.12 + 0.06c` with per-series phase and amplitude jitter plus noise.
+fn class_corpus(count: usize, len: usize, seed: u64) -> Vec<(usize, Vec<f64>)> {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|i| {
+            let class = i % 4;
+            let (phase, amp) = (unit() * 0.8, 1.0 + unit() * 0.3);
+            let freq = 0.12 + 0.06 * class as f64;
+            let s = (0..len)
+                .map(|t| (t as f64 * freq + phase).sin() * amp + (unit() - 0.5) * 0.3)
+                .collect();
+            (class, s)
+        })
+        .collect()
+}
+
+/// The pruned banded-DTW kNN scan against the exhaustive classifier on the
+/// same corpus and queries; every answer must agree bitwise.
+fn knn_run(instances: usize, queries: usize, len: usize) -> (KnnRun, usize) {
+    let (k, radius) = (3, 8);
+    let train = class_corpus(instances, len, 7);
+    let queries: Vec<Vec<f64>> = class_corpus(queries, len, 8)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    let mut clf = KnnClassifier::new(Box::new(Dtw::new().with_band(Band::SakoeChiba(radius))), k)
+        .with_engine(BatchEngine::serial());
+    clf.fit_all(train.iter().cloned());
+    let series: Vec<&[f64]> = train.iter().map(|(_, s)| &s[..]).collect();
+    let label_of = |i: usize| train[i].0;
+
+    let key = |c: &Classified| (c.label, c.score.to_bits(), c.nearest_index);
+    let exhaustive: Vec<_> = queries
+        .iter()
+        .map(|q| key(&clf.classify(q).unwrap()))
+        .collect();
+    let mut scratch = DpScratch::new();
+    let mut stats = KnnStats::default();
+    let mut mismatches = 0usize;
+    for (q, want) in queries.iter().zip(&exhaustive) {
+        let (c, s) = banded_dtw_knn(q, &series, label_of, k, radius, &mut scratch).unwrap();
+        if key(&c) != *want {
+            eprintln!(
+                "IDENTITY MISMATCH: knn_pruned {:?} vs exhaustive {want:?}",
+                key(&c)
+            );
+            mismatches += 1;
+        }
+        stats.pruned_by_kim += s.pruned_by_kim;
+        stats.pruned_by_keogh += s.pruned_by_keogh;
+        stats.abandoned_early += s.abandoned_early;
+        stats.full_computations += s.full_computations;
+    }
+    let (exhaustive_seconds, _) =
+        best_of_3(|| queries.iter().map(|q| clf.classify(q).unwrap().score).sum());
+    let (pruned_seconds, _) = best_of_3(|| {
+        queries
+            .iter()
+            .map(|q| {
+                banded_dtw_knn(q, &series, label_of, k, radius, &mut scratch)
+                    .unwrap()
+                    .0
+                    .score
+            })
+            .sum()
+    });
+    (
+        KnnRun {
+            instances,
+            queries: queries.len(),
+            k,
+            radius,
+            exhaustive_seconds,
+            pruned_seconds,
+            stats,
+            identical: mismatches == 0,
+        },
+        mismatches,
+    )
 }
 
 struct SearchRun {
@@ -298,7 +439,13 @@ fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, 
     )
 }
 
-fn json(rows: &[KernelRow], search: &SearchRun, mismatches: usize, quick: bool) -> String {
+fn json(
+    rows: &[KernelRow],
+    search: &SearchRun,
+    knn: &KnnRun,
+    mismatches: usize,
+    quick: bool,
+) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"identity_mismatches\": {mismatches},\n"));
@@ -337,7 +484,7 @@ fn json(rows: &[KernelRow], search: &SearchRun, mismatches: usize, quick: bool) 
             "    \"baseline_prune_rate\": {:.4},\n",
             "    \"new_prune_rate\": {:.4},\n",
             "    \"identical\": {}\n",
-            "  }}\n",
+            "  }},\n",
         ),
         search.haystack_len,
         search.window,
@@ -349,16 +496,46 @@ fn json(rows: &[KernelRow], search: &SearchRun, mismatches: usize, quick: bool) 
         search.new_prune_rate,
         search.identical,
     ));
+    s.push_str(&format!(
+        concat!(
+            "  \"knn_pruned\": {{\n",
+            "    \"instances\": {},\n",
+            "    \"queries\": {},\n",
+            "    \"k\": {},\n",
+            "    \"radius\": {},\n",
+            "    \"exhaustive_seconds\": {:.6},\n",
+            "    \"pruned_seconds\": {:.6},\n",
+            "    \"speedup\": {:.3},\n",
+            "    \"pruned_by_kim\": {},\n",
+            "    \"pruned_by_keogh\": {},\n",
+            "    \"abandoned\": {},\n",
+            "    \"full_dtw\": {},\n",
+            "    \"identical\": {}\n",
+            "  }}\n",
+        ),
+        knn.instances,
+        knn.queries,
+        knn.k,
+        knn.radius,
+        knn.exhaustive_seconds,
+        knn.pruned_seconds,
+        knn.exhaustive_seconds / knn.pruned_seconds,
+        knn.stats.pruned_by_kim,
+        knn.stats.pruned_by_keogh,
+        knn.stats.abandoned_early,
+        knn.stats.full_computations,
+        knn.identical,
+    ));
     s.push_str("}\n");
     s
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (pairs, len, haystack_len) = if quick {
-        (48, 128, 4096)
+    let (pairs, len, haystack_len, knn_instances) = if quick {
+        (48, 128, 4096, 256)
     } else {
-        (128, 128, 16384)
+        (128, 128, 16384, 1024)
     };
     let window = 128;
     let radius = window / 20; // the paper's 5% band, rounded down to 6
@@ -405,7 +582,25 @@ fn main() {
         search.new_prune_rate * 100.0,
     );
 
-    let payload = json(&rows, &search, mismatches, quick);
+    let (knn, knn_mismatches) = knn_run(knn_instances, 16, len);
+    mismatches += knn_mismatches;
+    let s = knn.stats;
+    println!(
+        "kNN (banded DTW r={}, k={}): {} instances x {} queries: exhaustive {:.4}s, pruned {:.4}s ({:.2}x); kim {} keogh {} abandoned {} full {}",
+        knn.radius,
+        knn.k,
+        knn.instances,
+        knn.queries,
+        knn.exhaustive_seconds,
+        knn.pruned_seconds,
+        knn.exhaustive_seconds / knn.pruned_seconds,
+        s.pruned_by_kim,
+        s.pruned_by_keogh,
+        s.abandoned_early,
+        s.full_computations,
+    );
+
+    let payload = json(&rows, &search, &knn, mismatches, quick);
     std::fs::create_dir_all("results").expect("create results dir");
     let path = "results/BENCH_kernels.json";
     std::fs::write(path, payload).expect("write bench json");

@@ -21,12 +21,16 @@
 //!   term serializes the row.
 //! * [`Dtw::distance_early_abandon_with`] stays **row-major**, because early
 //!   abandonment is a per-row decision, but iterates only the admissible
-//!   column segment of each row ([`Band::row_range`]) instead of testing
-//!   every cell against the band.
+//!   column segment of each row ([`Band::row_range`]) and keeps `left`
+//!   in a register, with `min(up, diag)` computed off the row's serial
+//!   chain.
 //!
 //! Both produce bitwise-identical results to the full-matrix reference
-//! ([`Dtw::matrix`]): the per-cell operation order
-//! `cost + min(min(left, up), diag)` is preserved exactly.
+//! ([`Dtw::matrix`]). The wavefront keeps the per-cell operation order
+//! `cost + min(min(left, up), diag)` exactly; the early-abandon kernel
+//! regroups the `min`, which is exact because no cell is ever `-0.0` and
+//! `f64::min` skips a NaN cell (possible only with weights) however it is
+//! grouped.
 
 use crate::error::DistanceError;
 use crate::matrix::{DpMatrix, PathStep};
@@ -96,11 +100,17 @@ impl Band {
     /// which the row-major kernels rely on when recycling DP rows. The range
     /// is derived from the same exact integer predicate as
     /// [`Band::admissible`]: `j_lo = ceil((i*n - r*m) / m)`,
-    /// `j_hi = floor((i*n + r*m) / m)`, clamped to `[1, n]`.
+    /// `j_hi = floor((i*n + r*m) / m)`, clamped to `[1, n]`. For equal
+    /// lengths that is `[i - r, i + r]`, computed with saturating `usize`
+    /// arithmetic instead of `i128` division.
     #[inline]
     pub fn row_range(self, i: usize, m: usize, n: usize) -> (usize, usize) {
         match self {
             Band::Full => (1, n),
+            // Equal lengths: the ideal column is `i` itself.
+            Band::SakoeChiba(r) if m == n => {
+                (i.saturating_sub(r).max(1), i.saturating_add(r).min(n))
+            }
             Band::SakoeChiba(r) => {
                 let i_n = i as i128 * n as i128;
                 let rm = r as i128 * m as i128;
@@ -125,6 +135,11 @@ impl Band {
         let ihi = m.min(k.saturating_sub(1));
         match self {
             Band::Full => (ilo, ihi),
+            // Equal lengths: `|k - 2i| <= r`.
+            Band::SakoeChiba(r) if m == n => (
+                (k.saturating_sub(r).div_ceil(2)).max(ilo),
+                (k.saturating_add(r) / 2).min(ihi),
+            ),
             Band::SakoeChiba(r) => {
                 let km = k as i128 * m as i128;
                 let rm = r as i128 * m as i128;
@@ -134,6 +149,23 @@ impl Band {
                 (lo, hi)
             }
         }
+    }
+
+    /// Does the band admit a complete warping path from `(1, 1)` to
+    /// `(m, n)` for an `m x n` comparison? Exactly when it does not, the
+    /// DTW kernels fail with a "band too narrow" error. O(m): each row's
+    /// segment must be non-empty and reachable from the row above, whose
+    /// segment ends no more than one column before it starts.
+    pub fn admits_path(self, m: usize, n: usize) -> bool {
+        let mut prev_hi = 0; // row 0 holds only D[0][0]
+        for i in 1..=m {
+            let (lo, hi) = self.row_range(i, m, n);
+            if lo > hi || lo > prev_hi + 1 {
+                return false;
+            }
+            prev_hi = hi;
+        }
+        prev_hi == n
     }
 
     /// Number of admissible cells for an `m x n` comparison — the count of
@@ -229,6 +261,92 @@ fn wavefront_dtw<F: Fn(usize, usize) -> f64>(
         w2 = tw;
     }
     d1[m] // diagonal m + n, cell (m, n)
+}
+
+/// `min` as one compare-select: exact when neither operand is NaN and no
+/// zero is `-0.0`.
+#[inline(always)]
+fn select_min(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Row-major early-abandoning evaluation of Eq. 2 over the admissible
+/// segment of each row, using two recycled rows from `scratch`. Returns
+/// `None` as soon as every cell of a row exceeds `best_so_far` (DP values
+/// only grow down the matrix, so such a row can never recover), and
+/// `D[m][n]` otherwise, which is non-finite iff the band admits no
+/// complete warping path.
+///
+/// Per cell, `min(up, diag)` and the point cost depend only on the
+/// previous row, so the serial chain along the row is `left → min → add`.
+/// `UNIFORM` (every weight 1) cells are `+0.0`, positive or `+inf` for
+/// finite inputs — never NaN or `-0.0` — so a plain compare-select is an
+/// exact `min` there and an infinite `best` already yields an infinite
+/// cell. Weighted cells keep `f64::min`, which skips the NaN that a zero
+/// weight times an overflowed `|p - q|` makes, and the wavefront's finite
+/// test.
+fn early_abandon_dtw<const UNIFORM: bool, F: Fn(usize, usize) -> f64>(
+    p: &[f64],
+    q: &[f64],
+    band: Band,
+    best_so_far: f64,
+    scratch: &mut DpScratch,
+    wpair: &F,
+) -> Option<f64> {
+    let (m, n) = (p.len(), q.len());
+    let (mut prev, mut curr) = scratch.rows(n + 1, f64::INFINITY);
+    prev[0] = 0.0;
+    // Slot ranges each row buffer holds valid data in (row 0: slot 0).
+    let mut w_prev = (0usize, 0usize);
+    let mut w_curr = (1usize, 0usize);
+    for (i, &pi) in (1..=m).zip(p) {
+        // Wipe the stale row i-2 this buffer last held; every slot
+        // outside the segment written below then reads as INF.
+        if w_curr.0 <= w_curr.1 {
+            curr[w_curr.0..=w_curr.1].fill(f64::INFINITY);
+        }
+        let (lo, hi) = band.row_range(i, m, n);
+        let mut row_min = f64::INFINITY;
+        if lo <= hi {
+            // D[i][lo-1] is a boundary or out-of-band cell.
+            let mut left = f64::INFINITY;
+            let cells = curr[lo..=hi]
+                .iter_mut()
+                .zip(&prev[lo..=hi]) // D[i-1][j]
+                .zip(&prev[lo - 1..hi]) // D[i-1][j-1]
+                .zip(&q[lo - 1..hi]);
+            for (j, (((out, &up), &diag), &qj)) in (lo..).zip(cells) {
+                left = if UNIFORM {
+                    select_min(left, select_min(up, diag)) + (pi - qj).abs()
+                } else {
+                    let cost = wpair(i - 1, j - 1) * (pi - qj).abs();
+                    let best = left.min(up.min(diag));
+                    if best.is_finite() {
+                        cost + best
+                    } else {
+                        f64::INFINITY
+                    }
+                };
+                *out = left;
+                row_min = if UNIFORM {
+                    select_min(row_min, left)
+                } else {
+                    row_min.min(left)
+                };
+            }
+        }
+        if row_min > best_so_far {
+            return None;
+        }
+        w_curr = (lo, hi);
+        std::mem::swap(&mut prev, &mut curr);
+        std::mem::swap(&mut w_prev, &mut w_curr);
+    }
+    Some(prev[n])
 }
 
 impl Dtw {
@@ -368,12 +486,13 @@ impl Dtw {
 
     /// [`Dtw::distance_early_abandon`] with caller-provided scratch rows.
     ///
-    /// Stays row-major (abandonment is a per-row decision) but touches only
-    /// the admissible column segment of each row ([`Band::row_range`]) —
-    /// no per-cell band test and no full-row re-initialization: wiping the
-    /// recycled row buffer's previously written segment restores the
-    /// all-INF invariant in O(segment) time. Results are bitwise-identical
-    /// to the previous per-cell formulation.
+    /// Stays row-major (abandonment is a per-row decision) and touches only
+    /// the admissible column segment of each row ([`Band::row_range`]),
+    /// wiping just the segment the recycled row buffer held before. The
+    /// cell `D[i][j-1]` is carried in a register, so the row's serial
+    /// dependency chain is one `min` and one `add` per cell. With finite
+    /// inputs, a result is bitwise the value [`Dtw::distance_with`]
+    /// returns.
     ///
     /// # Errors
     ///
@@ -391,37 +510,17 @@ impl Dtw {
         let (m, n) = (p.len(), q.len());
         self.weights.check_pair_shape(m, n)?;
 
-        let (mut prev, mut curr) = scratch.rows(n + 1, f64::INFINITY);
-        prev[0] = 0.0;
-        // Slot ranges each row buffer holds valid data in (row 0: slot 0).
-        let mut w_prev = (0usize, 0usize);
-        let mut w_curr = (1usize, 0usize);
-        for i in 1..=m {
-            // Wipe the stale row i-2 this buffer last held; every slot
-            // outside the segment written below then reads as INF.
-            if w_curr.0 <= w_curr.1 {
-                curr[w_curr.0..=w_curr.1].fill(f64::INFINITY);
+        let v = match &self.weights {
+            Weights::Uniform => {
+                early_abandon_dtw::<true, _>(p, q, self.band, best_so_far, scratch, &|_, _| 1.0)
             }
-            let (lo, hi) = self.band.row_range(i, m, n);
-            let mut row_min = f64::INFINITY;
-            for j in lo..=hi {
-                let cost = self.weights.pair(i - 1, j - 1) * (p[i - 1] - q[j - 1]).abs();
-                let best = curr[j - 1].min(prev[j]).min(prev[j - 1]);
-                if best.is_finite() {
-                    curr[j] = cost + best;
-                    row_min = row_min.min(curr[j]);
-                }
-            }
-            // DP values only grow down the matrix (non-negative costs), so
-            // a fully-over-budget row can never recover.
-            if row_min > best_so_far {
-                return Ok(None);
-            }
-            w_curr = (lo, hi);
-            std::mem::swap(&mut prev, &mut curr);
-            std::mem::swap(&mut w_prev, &mut w_curr);
-        }
-        let v = prev[n];
+            w => early_abandon_dtw::<false, _>(p, q, self.band, best_so_far, scratch, &|i, j| {
+                w.pair(i, j)
+            }),
+        };
+        let Some(v) = v else {
+            return Ok(None);
+        };
         if !v.is_finite() {
             return Err(DistanceError::InvalidParameter {
                 name: "band",
@@ -660,6 +759,27 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn admits_path_agrees_with_the_matrix() {
+        for m in 1usize..=12 {
+            for n in 1usize..=12 {
+                let mut bands = vec![Band::Full];
+                bands.extend((0usize..=6).map(Band::SakoeChiba));
+                for band in bands {
+                    let d = Dtw::new()
+                        .with_band(band)
+                        .matrix(&vec![0.0; m], &vec![0.0; n])
+                        .unwrap();
+                    assert_eq!(
+                        band.admits_path(m, n),
+                        d.final_value().is_finite(),
+                        "{band:?} m={m} n={n}"
+                    );
                 }
             }
         }

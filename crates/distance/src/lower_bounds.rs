@@ -59,8 +59,9 @@ fn lemire_pass(q: &[f64], r: usize, out: &mut [f64], deque: &mut Vec<usize>, max
     let mut next = 0usize;
     for (i, slot) in out.iter_mut().enumerate() {
         // Admit every index that enters the window ending at i + r,
-        // evicting dominated entries from the back.
-        let hi = (i + r).min(n - 1);
+        // evicting dominated entries from the back. Saturating: `r` may be
+        // as large as `usize::MAX`.
+        let hi = i.saturating_add(r).min(n - 1);
         while next <= hi {
             let x = q[next];
             while deque.len() > head {
@@ -75,7 +76,7 @@ fn lemire_pass(q: &[f64], r: usize, out: &mut [f64], deque: &mut Vec<usize>, max
             next += 1;
         }
         // Expire indices that fell out of the window starting at i - r.
-        while deque[head] + r < i {
+        while deque[head].saturating_add(r) < i {
             head += 1;
         }
         *slot = q[deque[head]];
@@ -529,6 +530,20 @@ mod tests {
                 assert_eq!(l, rl, "lower mismatch len={len} r={r}");
             }
         }
+    }
+
+    #[test]
+    fn huge_radius_envelope_equals_whole_series_envelope() {
+        let q: Vec<f64> = (0..23).map(|i| ((i * 13 % 7) as f64 - 3.0) * 0.7).collect();
+        let whole = envelope(&q, q.len()).unwrap();
+        for r in [usize::MAX, usize::MAX - 1, usize::MAX / 2] {
+            assert_eq!(envelope(&q, r).unwrap(), whole, "r={r}");
+        }
+        // The cascade envelopes both sides at the same radius.
+        let p: Vec<f64> = q.iter().map(|x| x * 0.5 + 0.1).collect();
+        let huge = cascading_dtw(&p, &q, usize::MAX, f64::INFINITY).unwrap();
+        let full = cascading_dtw(&p, &q, q.len(), f64::INFINITY).unwrap();
+        assert_eq!(huge, full);
     }
 
     #[test]

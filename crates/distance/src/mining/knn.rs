@@ -5,8 +5,12 @@
 //! vehicle-classification (DTW) and iris-authentication (HamD) motivating
 //! examples.
 
+use std::collections::BinaryHeap;
+
 use crate::batch::BatchEngine;
+use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
+use crate::lower_bounds::{ensure_query_envelope, lb_keogh_envelope, lb_kim};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
@@ -79,6 +83,147 @@ pub fn rank_and_vote(
         score: nearest.1,
         nearest_index: nearest.0,
     }
+}
+
+/// How [`banded_dtw_knn`] disposed of each training instance. The four
+/// counts partition the training set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KnnStats {
+    /// Instances of another length than the query, skipped because their
+    /// LB_Kim exceeded the running k-th best distance.
+    pub pruned_by_kim: usize,
+    /// Instances of the query's length, skipped because their LB_Keogh
+    /// exceeded the running k-th best distance.
+    pub pruned_by_keogh: usize,
+    /// Instances whose DTW was abandoned row-wise.
+    pub abandoned_early: usize,
+    /// Instances whose DTW ran to the end.
+    pub full_computations: usize,
+}
+
+impl KnnStats {
+    /// Training instances scanned.
+    pub fn instances(&self) -> usize {
+        self.pruned_by_kim + self.pruned_by_keogh + self.abandoned_early + self.full_computations
+    }
+}
+
+/// Largest magnitude in `xs` (0 when empty).
+fn max_abs(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0, |m, x| m.max(x.abs()))
+}
+
+/// Exact k-NN classification under uniform-weight Sakoe–Chiba DTW of
+/// radius `radius`, pruned with the UCR suite's bounds and early
+/// abandoning. The answer and any error are bitwise what
+/// [`KnnClassifier::classify`] returns for a
+/// `Dtw::new().with_band(Band::SakoeChiba(radius))` classifier fitted
+/// with `train` (labels `label_of(i)`), which evaluates every instance.
+///
+/// The query is enveloped once. Every instance gets a lower bound: its
+/// LB_Keogh against the query envelope when its length is the query's,
+/// LB_Kim otherwise. Instances are scanned in bound order (ties by index)
+/// against the running k-th best distance: the scan stops at the first
+/// bound strictly above it, and every DTW before that early-abandons
+/// against it. Skipped instances are provably farther than the final k-th
+/// best, so they enter [`rank_and_vote`] as `+inf` placeholders without
+/// changing its top `k`. Instances whose DTW could fail (empty, a band
+/// with no warping path, or values large enough to overflow) are
+/// evaluated exhaustively first, in index order, so the lowest-indexed
+/// error is the one returned. `k` is clamped to `1..=train.len()`.
+///
+/// # Errors
+///
+/// [`DistanceError::InvalidParameter`] for an empty training set or a
+/// non-finite query or instance, and the DTW error of the lowest-indexed
+/// failing instance.
+pub fn banded_dtw_knn<S: AsRef<[f64]>>(
+    query: &[f64],
+    train: &[S],
+    label_of: impl Fn(usize) -> usize,
+    k: usize,
+    radius: usize,
+    scratch: &mut DpScratch,
+) -> Result<(Classified, KnnStats), DistanceError> {
+    if train.is_empty() {
+        return Err(DistanceError::InvalidParameter {
+            name: "train",
+            reason: "classifier has no training data".into(),
+        });
+    }
+    ensure_finite("query", query)?;
+    for s in train {
+        ensure_finite("train", s.as_ref())?;
+    }
+    let band = Band::SakoeChiba(radius);
+    let dtw = Dtw::new().with_band(band);
+    let k = k.clamp(1, train.len());
+    let mut raw = vec![f64::INFINITY; train.len()];
+    let mut stats = KnnStats::default();
+    // The k smallest distances so far, as a max-heap of bit patterns:
+    // distances are never negative or -0.0, and non-negative f64s order
+    // like their bits.
+    let mut best: BinaryHeap<u64> = BinaryHeap::with_capacity(k + 1);
+    let record = |best: &mut BinaryHeap<u64>, d: f64| {
+        best.push(d.to_bits());
+        if best.len() > k {
+            best.pop();
+        }
+    };
+    if !query.is_empty() {
+        ensure_query_envelope(scratch, query, radius)?;
+    }
+    let query_max = max_abs(query);
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(train.len());
+    for (i, s) in train.iter().enumerate() {
+        let s = s.as_ref();
+        let (m, n) = (query.len(), s.len());
+        // Each point cost is at most `query_max + max|s|`, and a path sums
+        // fewer than m + n of them; the factor 2 absorbs rounding.
+        let overflow_free = ((query_max + max_abs(s)) * (2 * (m + n)) as f64).is_finite();
+        if m == 0 || n == 0 || !band.admits_path(m, n) || !overflow_free {
+            let d = dtw.distance_with(query, s, scratch)?;
+            raw[i] = d;
+            stats.full_computations += 1;
+            record(&mut best, d);
+        } else if m == n {
+            order.push((
+                lb_keogh_envelope(s, &scratch.qe_upper, &scratch.qe_lower),
+                i,
+            ));
+        } else {
+            order.push((lb_kim(query, s)?, i));
+        }
+    }
+    // Stable: equal bounds stay in index order.
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (pos, &(bound, i)) in order.iter().enumerate() {
+        let kth = if best.len() == k {
+            f64::from_bits(*best.peek().expect("k >= 1"))
+        } else {
+            f64::INFINITY
+        };
+        if bound > kth {
+            // Every later bound is at least this one.
+            for &(_, j) in &order[pos..] {
+                if train[j].as_ref().len() == query.len() {
+                    stats.pruned_by_keogh += 1;
+                } else {
+                    stats.pruned_by_kim += 1;
+                }
+            }
+            break;
+        }
+        match dtw.distance_early_abandon_with(query, train[i].as_ref(), kth, scratch)? {
+            Some(d) => {
+                raw[i] = d;
+                stats.full_computations += 1;
+                record(&mut best, d);
+            }
+            None => stats.abandoned_early += 1,
+        }
+    }
+    Ok((rank_and_vote(&raw, false, k, label_of), stats))
 }
 
 /// A k-NN classifier parameterised by any [`Distance`].

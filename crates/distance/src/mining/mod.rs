@@ -4,7 +4,8 @@
 //! distance functions of this crate:
 //!
 //! * [`knn`] — 1-NN / k-NN classification (e.g. vehicle classification with
-//!   DTW, iris authentication with HamD);
+//!   DTW, iris authentication with HamD), plus a pruned exact scan for
+//!   banded DTW;
 //! * [`kmedoids`] — k-medoids clustering (distance-matrix based, so any of
 //!   the six functions plugs in);
 //! * [`motif`] — motif discovery, the primitive behind frequency pattern
@@ -21,7 +22,7 @@ pub mod prefilter;
 pub mod search;
 
 pub use kmedoids::{KMedoids, KMedoidsResult};
-pub use knn::{rank_and_vote, Classified, KnnClassifier};
+pub use knn::{banded_dtw_knn, rank_and_vote, Classified, KnnClassifier, KnnStats};
 pub use motif::{Motif, MotifDiscovery, MotifStats};
 pub use prefilter::{AdmitAll, CandidateFilter, CandidatePredicate};
 pub use search::{SearchStats, SubsequenceSearch};

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use mda_distance::dtw::Band;
 use mda_distance::lower_bounds::{cascading_dtw, envelope, lb_keogh, lb_kim, PruneDecision};
-use mda_distance::Dtw;
+use mda_distance::{DpScratch, Dtw, Weights};
 
 fn full_dtw(p: &[f64], q: &[f64]) -> f64 {
     Dtw::new().distance(p, q).unwrap()
@@ -93,6 +93,53 @@ proptest! {
                 prop_assert!(b <= d + 1e-9, "pruning bound {b} > DTW {d}");
             }
             PruneDecision::AbandonedEarly => prop_assert!(d > best),
+        }
+    }
+}
+
+/// A value that is `±1e308` one time in four, so point costs overflow.
+fn overflowing_value() -> impl Strategy<Value = f64> {
+    (0u8..8, value()).prop_map(|(sel, x)| match sel {
+        0 => 1e308,
+        1 => -1e308,
+        _ => x,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The early-abandon kernel at an infinite budget is bitwise the
+    /// wavefront distance, errors included: uniform weights, and pairwise
+    /// weights with zeros, where `0 * inf` makes NaN cells. At a finite
+    /// budget it returns the distance exactly when it is within budget.
+    #[test]
+    fn early_abandon_at_infinity_equals_distance_bitwise(
+        p in prop::collection::vec(overflowing_value(), 1..18usize),
+        q in prop::collection::vec(overflowing_value(), 1..18usize),
+        r in 0usize..10,
+        weights in prop::collection::vec(0u8..4, 18 * 18),
+        budget in 0.0f64..4000.0,
+    ) {
+        let band = if r == 9 { Band::Full } else { Band::SakoeChiba(r) };
+        let (m, n) = (p.len(), q.len());
+        let w: Vec<f64> = weights[..m * n].iter().map(|&w| f64::from(w) * 0.5).collect();
+        let mut scratch = DpScratch::new();
+        for dtw in [
+            Dtw::new().with_band(band),
+            Dtw::new().with_band(band).with_weights(Weights::per_pair(m, n, w).unwrap()),
+        ] {
+            let exact = dtw.distance_with(&p, &q, &mut scratch);
+            let abandoned = dtw.distance_early_abandon_with(&p, &q, f64::INFINITY, &mut scratch);
+            match (&exact, abandoned) {
+                (Ok(d), Ok(Some(v))) => prop_assert_eq!(d.to_bits(), v.to_bits()),
+                (Err(a), Err(b)) => prop_assert_eq!(a, &b),
+                (e, a) => prop_assert!(false, "distance {e:?} vs early abandon {a:?}"),
+            }
+            if let Ok(d) = exact {
+                let within = dtw.distance_early_abandon_with(&p, &q, budget, &mut scratch).unwrap();
+                prop_assert_eq!(within.map(f64::to_bits), (d <= budget).then_some(d.to_bits()));
+            }
         }
     }
 }

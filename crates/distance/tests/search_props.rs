@@ -183,6 +183,22 @@ fn adversarial_shapes_agree_with_brute_force() {
     }
 }
 
+/// A radius near `usize::MAX` is a full-matrix band: the envelope passes
+/// saturate instead of overflowing, and the pruned search answers exactly
+/// as brute force does.
+#[test]
+fn huge_radius_search_equals_brute_force() {
+    let haystack: Vec<f64> = (0..80).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
+    let query: Vec<f64> = (0..16).map(|i| (i as f64 * 0.41 + 0.3).cos()).collect();
+    for radius in [usize::MAX, usize::MAX - 7] {
+        let s = SubsequenceSearch::new(16, radius);
+        let (pruned, _) = s.run(&query, &haystack).unwrap();
+        let brute = s.run_brute_force(&query, &haystack).unwrap();
+        assert_eq!(pruned.offset, brute.offset, "radius {radius}");
+        assert_eq!(pruned.distance.to_bits(), brute.distance.to_bits());
+    }
+}
+
 /// The tuned filter must actually reject windows on hostile data (the
 /// identity tests alone would pass for a filter that admits everything).
 #[test]

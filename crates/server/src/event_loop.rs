@@ -45,7 +45,7 @@ use mda_routing::{BackendId, Bound, Route, Router};
 
 use crate::config::ServerConfig;
 use crate::datasets::DatasetStore;
-use crate::exec::{decompose, Assemble, WorkItem};
+use crate::exec::{decompose, WorkItem};
 use crate::metrics::Metrics;
 use crate::protocol::{
     decode_request, encode_reply, write_frame, Envelope, ErrorCode, ProtocolError, Reply, Request,
@@ -967,19 +967,20 @@ impl EventLoop {
     }
 
     /// Picks a backend for one decomposed request: searches pin the pruned
-    /// digital path, pair work goes through the SLA/power-aware router, and
-    /// a degenerate job with no pair items trivially routes digital-exact.
+    /// digital path, pair and kNN work goes through the SLA/power-aware
+    /// router, and a degenerate job with no items trivially routes
+    /// digital-exact.
     fn route(
         &self,
         decomposed: &crate::exec::Decomposed,
         accuracy: Option<mda_routing::Sla>,
     ) -> Route {
         let sla = accuracy.unwrap_or_default();
-        if matches!(decomposed.assemble, Assemble::Search) {
+        if let Some(WorkItem::Search { .. }) = decomposed.items.first() {
             return self.router.route_search(sla);
         }
         let kind = decomposed.items.iter().find_map(|item| match item {
-            WorkItem::Pair { spec, .. } => Some(spec.kind),
+            WorkItem::Pair { spec, .. } | WorkItem::Knn { spec, .. } => Some(spec.kind),
             WorkItem::Search { .. } => None,
         });
         match kind {

@@ -6,30 +6,40 @@
 //!
 //! * `distance` → one pair item;
 //! * `batch` → one pair item per input pair;
-//! * `knn` → one pair item per training instance (the vote is a serial
-//!   reduction afterwards, replicating `KnnClassifier::classify` exactly);
-//! * `search` → a single opaque item that runs the full pruned subsequence
-//!   search *serially inside one worker* (searches parallelize across
-//!   concurrent requests, not within one, so a coalesced batch never
-//!   oversubscribes the host).
+//! * `knn` → a single item that classifies the query against the whole
+//!   training set *serially inside one worker*: on the exact digital route
+//!   with a Sakoe–Chiba band it runs the pruned banded-DTW scan
+//!   ([`banded_dtw_knn`]), otherwise it evaluates every instance through
+//!   its routed backend in index order; both end in the library's
+//!   [`rank_and_vote`], so the answer is bitwise
+//!   `KnnClassifier::classify`'s;
+//! * `search` → a single item that runs the full pruned subsequence
+//!   search serially inside one worker.
 //!
-//! Item evaluation calls the same `Distance::evaluate_with` entry points
-//! the library's mining drivers use, with the same per-worker
-//! [`DpScratch`], so a value served over the wire is bitwise identical to
-//! the value a direct `BatchEngine` call produces.
+//! kNN and search parallelize across concurrent requests, not within one,
+//! so a coalesced batch never oversubscribes the host. Admission and the
+//! batch budget still count a kNN item as its training-set size
+//! ([`WorkItem::weight`]).
+//!
+//! Item evaluation calls the same entry points the library's mining
+//! drivers use, with the same per-worker [`DpScratch`], so a value served
+//! over the wire is bitwise identical to the value a direct library call
+//! produces.
 //!
 //! [`BatchEngine`]: mda_distance::BatchEngine
 
 use std::sync::Arc;
 
-use mda_distance::mining::SubsequenceSearch;
+use mda_distance::mining::{
+    banded_dtw_knn, rank_and_vote, Classified, KnnStats, SearchStats, SubsequenceSearch,
+};
 use mda_distance::{BatchEngine, DistanceError, DistanceKind, DpScratch};
 use mda_routing::{evaluate_routed, BackendId, PairRequest};
 
 use crate::datasets::{DatasetStore, ResolveError};
 use crate::protocol::{ErrorCode, Request, TrainInstance};
 
-/// Distance-function parameters carried by a pair item.
+/// Distance-function parameters carried by a pair or kNN item.
 #[derive(Debug, Clone, Copy)]
 pub struct PairSpec {
     /// Which of the six functions.
@@ -44,6 +54,16 @@ pub struct PairSpec {
     pub backend: BackendId,
 }
 
+impl PairSpec {
+    fn request(&self) -> PairRequest {
+        PairRequest {
+            kind: self.kind,
+            threshold: self.threshold,
+            band: self.band,
+        }
+    }
+}
+
 /// One unit of engine work.
 #[derive(Debug, Clone)]
 pub enum WorkItem {
@@ -55,6 +75,19 @@ pub enum WorkItem {
         p: Arc<[f64]>,
         /// Second series.
         q: Arc<[f64]>,
+    },
+    /// Classify one query against a training set.
+    Knn {
+        /// Function and parameters.
+        spec: PairSpec,
+        /// Neighbour count.
+        k: usize,
+        /// The query series.
+        query: Arc<[f64]>,
+        /// Training series (a resident dataset's own handles).
+        series: Arc<[Arc<[f64]>]>,
+        /// Training labels, index-aligned with `series`.
+        labels: Arc<[usize]>,
     },
     /// Run one full subsequence search.
     Search {
@@ -69,38 +102,64 @@ pub enum WorkItem {
     },
 }
 
+impl WorkItem {
+    /// What the item counts for against the queue capacity and the batch
+    /// budget: a kNN item weighs one per training instance, as many pair
+    /// items as it replaces; every other item weighs one.
+    pub fn weight(&self) -> usize {
+        match self {
+            WorkItem::Knn { series, .. } => series.len(),
+            WorkItem::Pair { .. } | WorkItem::Search { .. } => 1,
+        }
+    }
+}
+
 /// Outcome of one executed work item.
 #[derive(Debug, Clone, Copy)]
 pub enum ItemOutcome {
     /// A distance value.
     Value(f64),
+    /// A kNN classification.
+    Knn {
+        /// The predicted label.
+        label: usize,
+        /// Distance (or negated similarity) to the nearest neighbour.
+        score: f64,
+        /// Index of the nearest training instance.
+        nearest_index: usize,
+        /// The pruned scan's partition of the training set (all zero when
+        /// every instance was evaluated).
+        stats: KnnStats,
+    },
     /// A search match.
     Match {
         /// Best window start offset.
         offset: usize,
         /// Its banded DTW distance.
         distance: f64,
+        /// The search's partition of the windows.
+        stats: SearchStats,
     },
 }
 
+impl ItemOutcome {
+    fn knn(c: Classified, stats: KnnStats) -> Self {
+        ItemOutcome::Knn {
+            label: c.label,
+            score: c.score,
+            nearest_index: c.nearest_index,
+            stats,
+        }
+    }
+}
+
 /// How a job folds its item outcomes back into one reply.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assemble {
-    /// One item, reply its value (`distance`).
+    /// One item, reply its outcome (`distance`, `knn`, `search`).
     Single,
     /// Reply all values in item order (`batch`).
     Values,
-    /// Serial kNN vote over the per-instance distances.
-    Knn {
-        /// Neighbour count.
-        k: usize,
-        /// Training labels, item-order aligned.
-        labels: Vec<usize>,
-        /// `true` for similarity functions (LCS): negate before ranking.
-        invert: bool,
-    },
-    /// One item, reply its match (`search`).
-    Search,
 }
 
 /// A compute request decomposed into engine work.
@@ -113,24 +172,27 @@ pub struct Decomposed {
 }
 
 impl Decomposed {
-    /// The routing problem size: the longest series among the pair items
-    /// (0 for search-only jobs, which route separately).
+    /// The routing problem size: the longest series among the pair and kNN
+    /// items (0 for search-only jobs, which route separately).
     pub fn max_pair_len(&self) -> usize {
         self.items
             .iter()
             .map(|item| match item {
                 WorkItem::Pair { p, q, .. } => p.len().max(q.len()),
+                WorkItem::Knn { query, series, .. } => {
+                    series.iter().map(|s| s.len()).fold(query.len(), usize::max)
+                }
                 WorkItem::Search { .. } => 0,
             })
             .max()
             .unwrap_or(0)
     }
 
-    /// Points every pair item at `backend` — applying the router's
+    /// Points every pair and kNN item at `backend` — applying the router's
     /// per-request decision before the job is admitted.
     pub fn route_to(&mut self, backend: BackendId) {
         for item in &mut self.items {
-            if let WorkItem::Pair { spec, .. } = item {
+            if let WorkItem::Pair { spec, .. } | WorkItem::Knn { spec, .. } = item {
                 spec.backend = backend;
             }
         }
@@ -146,7 +208,8 @@ impl Decomposed {
 ///
 /// Resolution clones `Arc` handles to the stored series — no samples are
 /// copied and the bits a query sees are exactly the bits uploaded, which is
-/// what keeps the resident path bitwise identical to inline corpora.
+/// what keeps the resident path bitwise identical to inline corpora. A
+/// `knn` with no training data is refused here too (`bad_request`).
 pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed>, ResolveError> {
     match req {
         Request::Ping
@@ -236,45 +299,38 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
             band,
             ..
         } => {
-            let spec = PairSpec {
-                kind,
-                threshold,
-                band,
-                backend: BackendId::DigitalExact,
-            };
-            let query: Arc<[f64]> = query.into();
-            let (labels, items): (Vec<usize>, Vec<WorkItem>) = if let Some(dref) = dataset {
+            let (series, labels) = if let Some(dref) = dataset {
                 // Resident form: training set is the dataset (labels included).
                 let resolved = store.resolve(&dref)?;
-                let items = resolved
-                    .series
-                    .iter()
-                    .map(|s| WorkItem::Pair {
-                        spec,
-                        p: Arc::clone(&query),
-                        q: Arc::clone(s),
-                    })
-                    .collect();
-                (resolved.labels.to_vec(), items)
+                (resolved.series, resolved.labels)
             } else {
-                let labels = train.iter().map(|t| t.label).collect();
-                let items = train
+                let labels: Arc<[usize]> = train.iter().map(|t| t.label).collect();
+                let series: Arc<[Arc<[f64]>]> = train
                     .into_iter()
-                    .map(|TrainInstance { series, .. }| WorkItem::Pair {
-                        spec,
-                        p: Arc::clone(&query),
-                        q: series.into(),
-                    })
+                    .map(|TrainInstance { series, .. }| series.into())
                     .collect();
-                (labels, items)
+                (series, labels)
             };
+            if series.is_empty() {
+                return Err(ResolveError {
+                    code: ErrorCode::BadRequest,
+                    message: "classifier has no training data".into(),
+                });
+            }
             Ok(Some(Decomposed {
-                items,
-                assemble: Assemble::Knn {
+                items: vec![WorkItem::Knn {
+                    spec: PairSpec {
+                        kind,
+                        threshold,
+                        band,
+                        backend: BackendId::DigitalExact,
+                    },
                     k,
+                    query: query.into(),
+                    series,
                     labels,
-                    invert: kind.is_similarity(),
-                },
+                }],
+                assemble: Assemble::Single,
             }))
         }
         Request::Search {
@@ -311,35 +367,76 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
                     window,
                     band,
                 }],
-                assemble: Assemble::Search,
+                assemble: Assemble::Single,
             }))
         }
     }
 }
 
-/// Executes one work item through its routed backend, reporting whether
-/// the analog path silently fell back to a digital recompute. Errors are
-/// per-item values — a failing item never aborts the coalesced batch it
-/// shares with other requests.
+/// Executes one work item through its routed backend. Returns the
+/// outcome together with the number of analog evaluations that silently
+/// fell back to a digital recompute (counted even when the item fails).
+/// Errors are per-item values — a failing item never aborts the coalesced
+/// batch it shares with other requests.
 ///
-/// Pair items dispatch through [`evaluate_routed`]: on the default
+/// Pair items, and the instances of a kNN item off the pruned path,
+/// dispatch through [`evaluate_routed`]: on the default
 /// [`BackendId::DigitalExact`] route that is the exact `Distance`
 /// constructors the digital reference library uses — bitwise identical to
 /// a direct call — while analog routes carry the saturation/encoding
-/// fallback guard.
+/// fallback guard. A kNN item reports its lowest-indexed instance error.
 pub fn execute_item_routed(
     item: &WorkItem,
     scratch: &mut DpScratch,
-) -> Result<(ItemOutcome, bool), DistanceError> {
+) -> (Result<ItemOutcome, DistanceError>, u64) {
     match item {
         WorkItem::Pair { spec, p, q } => {
-            let req = PairRequest {
-                kind: spec.kind,
-                threshold: spec.threshold,
-                band: spec.band,
+            match evaluate_routed(spec.backend, &spec.request(), p, q, scratch) {
+                Ok(routed) => (
+                    Ok(ItemOutcome::Value(routed.value)),
+                    u64::from(routed.fell_back),
+                ),
+                Err(e) => (Err(e), 0),
+            }
+        }
+        WorkItem::Knn {
+            spec,
+            k,
+            query,
+            series,
+            labels,
+        } => {
+            let label_of = |i: usize| labels[i];
+            if let (BackendId::DigitalExact, DistanceKind::Dtw, Some(r)) =
+                (spec.backend, spec.kind, spec.band)
+            {
+                let outcome = banded_dtw_knn(query, series, label_of, *k, r, scratch)
+                    .map(|(c, stats)| ItemOutcome::knn(c, stats));
+                return (outcome, 0);
+            }
+            let req = spec.request();
+            let mut fallbacks = 0;
+            let mut raw = Vec::with_capacity(series.len());
+            let mut first_err = None;
+            for s in series.iter() {
+                match evaluate_routed(spec.backend, &req, query, s, scratch) {
+                    Ok(routed) => {
+                        fallbacks += u64::from(routed.fell_back);
+                        raw.push(routed.value);
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+            let outcome = match first_err {
+                Some(e) => Err(e),
+                None => Ok(ItemOutcome::knn(
+                    rank_and_vote(&raw, spec.kind.is_similarity(), *k, label_of),
+                    KnnStats::default(),
+                )),
             };
-            let routed = evaluate_routed(spec.backend, &req, p, q, scratch)?;
-            Ok((ItemOutcome::Value(routed.value), routed.fell_back))
+            (outcome, fallbacks)
         }
         WorkItem::Search {
             query,
@@ -349,24 +446,24 @@ pub fn execute_item_routed(
         } => {
             // Serial engine: the item already runs on an engine worker.
             let search = SubsequenceSearch::new(*window, *band).with_engine(BatchEngine::serial());
-            let (m, _stats) = search.run(query, haystack)?;
-            Ok((
-                ItemOutcome::Match {
+            let outcome = search
+                .run(query, haystack)
+                .map(|(m, stats)| ItemOutcome::Match {
                     offset: m.offset,
                     distance: m.distance,
-                },
-                false,
-            ))
+                    stats,
+                });
+            (outcome, 0)
         }
     }
 }
 
-/// [`execute_item_routed`] without the fallback flag.
+/// [`execute_item_routed`] without the fallback count.
 pub fn execute_item(
     item: &WorkItem,
     scratch: &mut DpScratch,
 ) -> Result<ItemOutcome, DistanceError> {
-    execute_item_routed(item, scratch).map(|(outcome, _)| outcome)
+    execute_item_routed(item, scratch).0
 }
 
 #[cfg(test)]
@@ -429,44 +526,125 @@ mod tests {
         assert_eq!(served.to_bits(), direct.to_bits());
     }
 
+    fn knn_request(kind: DistanceKind, k: usize, band: Option<usize>) -> Request {
+        Request::Knn {
+            kind,
+            k,
+            query: vec![0.0],
+            train: [(0, 1.0), (1, 0.5), (0, 2.0)]
+                .into_iter()
+                .map(|(label, x)| TrainInstance {
+                    label,
+                    series: vec![x],
+                })
+                .collect(),
+            dataset: None,
+            threshold: None,
+            band,
+            deadline_ms: None,
+            accuracy: None,
+        }
+    }
+
     #[test]
-    fn knn_decomposition_shares_the_query() {
+    fn knn_is_one_item_sharing_the_query_and_resident_series() {
         let store = DatasetStore::new(u64::MAX);
+        let up = store
+            .upload("train", vec![3, 5], vec![vec![0.0, 1.0], vec![9.0, 9.0]])
+            .unwrap();
         let req = Request::Knn {
             kind: DistanceKind::Manhattan,
             k: 1,
             query: vec![0.0, 1.0],
-            train: vec![
-                TrainInstance {
-                    label: 3,
-                    series: vec![0.0, 1.0],
-                },
-                TrainInstance {
-                    label: 5,
-                    series: vec![9.0, 9.0],
-                },
-            ],
-            dataset: None,
+            train: Vec::new(),
+            dataset: Some(crate::protocol::DatasetRef::by_id(&up.dataset_id)),
             threshold: None,
             band: None,
             deadline_ms: None,
             accuracy: None,
         };
         let d = decompose(req, &store).unwrap().unwrap();
-        assert_eq!(d.items.len(), 2);
-        let Assemble::Knn { k, labels, invert } = &d.assemble else {
-            panic!("knn assembly expected");
-        };
-        assert_eq!(
-            (*k, labels.as_slice(), *invert),
-            (1, &[3usize, 5][..], false)
-        );
-        let (WorkItem::Pair { p: p0, .. }, WorkItem::Pair { p: p1, .. }) =
-            (&d.items[0], &d.items[1])
+        assert_eq!(d.assemble, Assemble::Single);
+        let [item @ WorkItem::Knn {
+            k,
+            query,
+            series,
+            labels,
+            ..
+        }] = d.items.as_slice()
         else {
-            panic!("pair items expected");
+            panic!("one knn item expected");
         };
-        assert!(Arc::ptr_eq(p0, p1), "query must be shared, not cloned");
+        assert_eq!((*k, &labels[..], item.weight()), (1, &[3usize, 5][..], 2));
+        // No samples copied: the item holds the store's own handles, and
+        // the dispatcher's clone of the item shares the query.
+        let resolved = store
+            .resolve(&crate::protocol::DatasetRef::by_name("train"))
+            .unwrap();
+        assert!(Arc::ptr_eq(series, &resolved.series));
+        assert!(Arc::ptr_eq(labels, &resolved.labels));
+        let WorkItem::Knn { query: cloned, .. } = item.clone() else {
+            unreachable!()
+        };
+        assert!(
+            Arc::ptr_eq(query, &cloned),
+            "query must be shared, not cloned"
+        );
+    }
+
+    #[test]
+    fn knn_item_ranks_and_votes_like_the_classifier() {
+        // Distances 1.0 (label 0), 0.5 (label 1), 2.0 (label 0), k=3:
+        // votes 0:2, 1:1 → label 0; nearest is index 1 (score 0.5). The
+        // banded DTW request takes the pruned scan and must agree.
+        let store = DatasetStore::new(u64::MAX);
+        let mut scratch = DpScratch::new();
+        for (kind, band) in [
+            (DistanceKind::Manhattan, None),
+            (DistanceKind::Dtw, Some(0)),
+        ] {
+            let d = decompose(knn_request(kind, 3, band), &store)
+                .unwrap()
+                .unwrap();
+            let outcome = execute_item(&d.items[0], &mut scratch).unwrap();
+            let ItemOutcome::Knn {
+                label,
+                score,
+                nearest_index,
+                stats,
+            } = outcome
+            else {
+                panic!("knn outcome expected, got {outcome:?}");
+            };
+            assert_eq!((label, score, nearest_index), (0, 0.5, 1), "{kind}");
+            let expected = if band.is_some() { 3 } else { 0 };
+            assert_eq!(stats.instances(), expected, "{kind}");
+        }
+    }
+
+    #[test]
+    fn knn_without_training_data_is_bad_request() {
+        let store = DatasetStore::new(u64::MAX);
+        let Request::Knn { kind, k, query, .. } = knn_request(DistanceKind::Dtw, 1, Some(2)) else {
+            unreachable!()
+        };
+        let err = decompose(
+            Request::Knn {
+                kind,
+                k,
+                query,
+                train: Vec::new(),
+                dataset: None,
+                threshold: None,
+                band: Some(2),
+                deadline_ms: None,
+                accuracy: None,
+            },
+            &store,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert_eq!(err.message, "classifier has no training data");
     }
 
     #[test]
@@ -497,66 +675,69 @@ mod tests {
     }
 
     #[test]
-    fn resident_knn_decomposes_identically_to_inline_train() {
+    fn resident_knn_answers_identically_to_inline_train() {
         let store = DatasetStore::new(u64::MAX);
-        let train: Vec<Vec<f64>> = vec![series(8, 0.0), series(8, 0.3), series(8, 0.9)];
-        let up = store.upload("train", vec![3, 5, 5], train.clone()).unwrap();
-        let resident = decompose(
-            Request::Knn {
-                kind: DistanceKind::Dtw,
-                k: 1,
-                query: series(8, 0.1),
-                train: Vec::new(),
-                dataset: Some(crate::protocol::DatasetRef::by_id(&up.dataset_id)),
-                threshold: None,
-                band: None,
-                deadline_ms: None,
-                accuracy: None,
-            },
-            &store,
-        )
-        .unwrap()
-        .unwrap();
-        let inline = decompose(
-            Request::Knn {
-                kind: DistanceKind::Dtw,
-                k: 1,
-                query: series(8, 0.1),
-                train: train
-                    .iter()
-                    .zip([3usize, 5, 5])
-                    .map(|(s, label)| TrainInstance {
-                        label,
-                        series: s.clone(),
-                    })
-                    .collect(),
-                dataset: None,
-                threshold: None,
-                band: None,
-                deadline_ms: None,
-                accuracy: None,
-            },
-            &store,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(resident.items.len(), inline.items.len());
+        let train: Vec<Vec<f64>> = (0..9).map(|i| series(8, i as f64 * 0.3)).collect();
+        let labels: Vec<usize> = (0..9).map(|i| i % 3).collect();
+        let up = store
+            .upload("train", labels.clone(), train.clone())
+            .unwrap();
         let mut scratch = DpScratch::new();
-        for (a, b) in resident.items.iter().zip(&inline.items) {
-            let (ItemOutcome::Value(x), ItemOutcome::Value(y)) = (
-                execute_item(a, &mut scratch).unwrap(),
-                execute_item(b, &mut scratch).unwrap(),
-            ) else {
-                panic!("value items expected");
+        // Banded DTW takes the pruned scan; unbanded DTW evaluates every
+        // instance. Both must match the exhaustive library classifier.
+        for band in [Some(2), None] {
+            let knn = |train: Vec<TrainInstance>, dataset| Request::Knn {
+                kind: DistanceKind::Dtw,
+                k: 3,
+                query: series(8, 0.1),
+                train,
+                dataset,
+                threshold: None,
+                band,
+                deadline_ms: None,
+                accuracy: None,
             };
-            assert_eq!(x.to_bits(), y.to_bits());
+            let resident = decompose(
+                knn(
+                    Vec::new(),
+                    Some(crate::protocol::DatasetRef::by_id(&up.dataset_id)),
+                ),
+                &store,
+            )
+            .unwrap()
+            .unwrap();
+            let inline_train = train
+                .iter()
+                .zip(&labels)
+                .map(|(s, &label)| TrainInstance {
+                    label,
+                    series: s.clone(),
+                })
+                .collect();
+            let inline = decompose(knn(inline_train, None), &store).unwrap().unwrap();
+            let answer =
+                |d: &Decomposed, scratch: &mut DpScratch| match execute_item(&d.items[0], scratch)
+                    .unwrap()
+                {
+                    ItemOutcome::Knn {
+                        label,
+                        score,
+                        nearest_index,
+                        ..
+                    } => (label, score.to_bits(), nearest_index),
+                    other => panic!("knn outcome expected, got {other:?}"),
+                };
+            let mut dtw = Dtw::new();
+            if let Some(r) = band {
+                dtw = dtw.with_band(Band::SakoeChiba(r));
+            }
+            let mut clf = mda_distance::mining::KnnClassifier::new(Box::new(dtw), 3);
+            clf.fit_all(labels.iter().copied().zip(train.iter().cloned()));
+            let c = clf.classify(&series(8, 0.1)).unwrap();
+            let direct = (c.label, c.score.to_bits(), c.nearest_index);
+            assert_eq!(answer(&resident, &mut scratch), direct, "band {band:?}");
+            assert_eq!(answer(&inline, &mut scratch), direct, "band {band:?}");
         }
-        let (Assemble::Knn { labels: la, .. }, Assemble::Knn { labels: lb, .. }) =
-            (&resident.assemble, &inline.assemble)
-        else {
-            panic!("knn assembly expected");
-        };
-        assert_eq!(la, lb);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   resident dataset);
 //! * `knn` — k-nearest-neighbour classification (exact
 //!   `KnnClassifier::classify` semantics), inline train set or resident;
+//!   one work item per request, which for banded DTW on the exact route
+//!   runs the library's pruned nearest-neighbour scan;
 //! * `search` — banded-DTW subsequence search, inline or resident haystack;
 //! * `upload_dataset` / `list_datasets` / `drop_dataset` — resident
 //!   dataset management ([`datasets`]): upload a corpus once, then query it
@@ -56,10 +58,10 @@
 //! `http://host:port/` in a scraper).
 //!
 //! Results are **bitwise identical** to direct library calls: the
-//! dispatcher evaluates every work item with the same
-//! `Distance::evaluate_with` entry points and scratch reuse the mining
-//! drivers use, and the JSON codec round-trips every finite `f64` exactly
-//! (shortest-representation printing, [`json`]).
+//! dispatcher evaluates every work item with the same entry points and
+//! scratch reuse the mining drivers use, and the JSON codec round-trips
+//! every finite `f64` exactly (shortest-representation printing,
+//! [`json`]).
 //!
 //! ## Quick example
 //!

@@ -136,6 +136,45 @@ impl Gauge {
     }
 }
 
+/// How one task's pruned scans disposed of their candidates (training
+/// instances for kNN, windows for search), summed over scans.
+#[derive(Debug, Default)]
+pub struct CascadeCounters {
+    /// Candidates skipped on LB_Kim.
+    pub pruned_kim: Counter,
+    /// Candidates skipped on LB_Keogh.
+    pub pruned_keogh: Counter,
+    /// Candidates whose DTW was abandoned row-wise.
+    pub abandoned: Counter,
+    /// Candidates whose DTW ran to the end.
+    pub full_dtw: Counter,
+}
+
+impl CascadeCounters {
+    /// Adds one scan's partition: candidates pruned by LB_Kim, pruned by
+    /// LB_Keogh, abandoned, and run to a full DTW.
+    pub fn record(&self, kim: usize, keogh: usize, abandoned: usize, full: usize) {
+        self.pruned_kim.add(kim as u64);
+        self.pruned_keogh.add(keogh as u64);
+        self.abandoned.add(abandoned as u64);
+        self.full_dtw.add(full as u64);
+    }
+
+    fn render(&self, task: &str, out: &mut String) {
+        for (stage, counter) in [
+            ("pruned_kim", &self.pruned_kim),
+            ("pruned_keogh", &self.pruned_keogh),
+            ("abandoned", &self.abandoned),
+            ("full_dtw", &self.full_dtw),
+        ] {
+            out.push_str(&format!(
+                "mda_cascade_total{{task=\"{task}\",stage=\"{stage}\"}} {}\n",
+                counter.get()
+            ));
+        }
+    }
+}
+
 /// The server's metrics registry. One instance per [`crate::Server`],
 /// shared by every connection and the dispatcher.
 #[derive(Debug, Default)]
@@ -200,6 +239,11 @@ pub struct Metrics {
     /// Work items whose analog answer saturated (or failed to encode) and
     /// silently fell back to a digital recompute.
     pub route_fallbacks: Counter,
+    /// How the pruned banded-DTW kNN scans disposed of training instances
+    /// (kNN items on other paths evaluate every instance and add nothing).
+    pub knn_cascade: CascadeCounters,
+    /// How subsequence searches disposed of their windows.
+    pub search_cascade: CascadeCounters,
     /// Analog fleet power currently reserved, microwatts (sampled at
     /// routing time, so it can lag lease releases by one submission).
     pub fleet_in_use_uw: Gauge,
@@ -412,6 +456,8 @@ impl Metrics {
             "mda_route_fallbacks_total {}\n",
             self.route_fallbacks.get()
         ));
+        self.knn_cascade.render("knn", &mut out);
+        self.search_cascade.render("search", &mut out);
         out.push_str(&format!(
             "mda_fleet_in_use_watts {:.6}\n",
             self.fleet_in_use_uw.get() as f64 / 1e6
@@ -488,6 +534,8 @@ mod tests {
         m.stream_events.add(14);
         m.stream_evictions.add(3);
         m.stream_push.record_us(60);
+        m.knn_cascade.record(1, 200, 40, 15);
+        m.search_cascade.record(0, 0, 0, 9);
         let text = m.render_text();
         for needle in [
             "mda_requests_total{op=\"distance\"} 1",
@@ -516,6 +564,12 @@ mod tests {
             "mda_stream_events_total 14",
             "mda_stream_evictions_total 3",
             "mda_stream_push_us_count 1",
+            "mda_cascade_total{task=\"knn\",stage=\"pruned_kim\"} 1",
+            "mda_cascade_total{task=\"knn\",stage=\"pruned_keogh\"} 200",
+            "mda_cascade_total{task=\"knn\",stage=\"abandoned\"} 40",
+            "mda_cascade_total{task=\"knn\",stage=\"full_dtw\"} 15",
+            "mda_cascade_total{task=\"search\",stage=\"pruned_keogh\"} 0",
+            "mda_cascade_total{task=\"search\",stage=\"full_dtw\"} 9",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

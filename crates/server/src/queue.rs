@@ -10,7 +10,8 @@
 //! each), not with the number of open connections.
 //!
 //! Admission control is item-based: the queue holds at most
-//! `max_queue_items` work items. A submission that would overflow is
+//! `max_queue_items` work items, a kNN item counting once per training
+//! instance ([`WorkItem::weight`]). A submission that would overflow is
 //! rejected immediately (`overloaded` reply, no queuing, no blocking) —
 //! load-shedding at the door instead of collapse under backlog. One
 //! oversized job is still admitted when the queue is empty, so capacity
@@ -26,7 +27,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mda_distance::mining::rank_and_vote;
 use mda_distance::{BatchEngine, DistanceError, DpScratch};
 use mda_routing::PowerLease;
 
@@ -89,6 +89,14 @@ pub struct Job {
     pub route: Option<RouteInfo>,
     /// Analog fleet power reservation, held until the job finishes.
     pub lease: Option<PowerLease>,
+}
+
+impl Job {
+    /// The job's share of queue capacity and batch budget: the summed
+    /// [`WorkItem::weight`] of its items.
+    pub fn weight(&self) -> usize {
+        self.items.iter().map(WorkItem::weight).sum()
+    }
 }
 
 /// Why a submission was refused.
@@ -166,7 +174,7 @@ impl Coalescer {
         if state.draining {
             return Err(SubmitError::ShuttingDown);
         }
-        let incoming = job.items.len();
+        let incoming = job.weight();
         if !state.jobs.is_empty() && state.queued_items + incoming > self.max_queue_items {
             let queued = state.queued_items;
             drop(state);
@@ -222,7 +230,7 @@ impl Coalescer {
         let mut batch = Vec::new();
         let mut total = 0usize;
         while let Some(job) = state.jobs.front() {
-            let n = job.items.len();
+            let n = job.weight();
             if !batch.is_empty() && total + n > self.batch_max_items {
                 break;
             }
@@ -277,31 +285,49 @@ impl Coalescer {
 
         // Flatten all live jobs' items into one engine batch.
         let mut flat: Vec<WorkItem> = Vec::with_capacity(live.iter().map(|j| j.items.len()).sum());
+        let mut weight = 0usize;
         for job in &live {
             self.metrics
                 .queue_wait
                 .record_us(now.duration_since(job.enqueued).as_micros() as u64);
             flat.extend(job.items.iter().cloned());
+            weight += job.weight();
         }
-        self.metrics.record_batch(live.len(), flat.len());
+        self.metrics.record_batch(live.len(), weight);
 
         // Item errors are carried as values, so one bad request can never
         // abort a batch it shares with healthy neighbours.
-        let routed: Vec<Result<(ItemOutcome, bool), DistanceError>> =
+        let routed: Vec<(Result<ItemOutcome, DistanceError>, u64)> =
             match engine.try_map_with(&flat, DpScratch::new, |scratch, _, item| {
                 Ok::<_, std::convert::Infallible>(execute_item_routed(item, scratch))
             }) {
                 Ok(v) => v,
                 Err(e) => match e {},
             };
-        let fallbacks = routed.iter().filter(|r| matches!(r, Ok((_, true)))).count();
-        if fallbacks > 0 {
-            self.metrics.route_fallbacks.add(fallbacks as u64);
+        let mut outcomes = Vec::with_capacity(routed.len());
+        let mut fallbacks = 0;
+        for (outcome, item_fallbacks) in routed {
+            fallbacks += item_fallbacks;
+            match &outcome {
+                Ok(ItemOutcome::Knn { stats: s, .. }) => self.metrics.knn_cascade.record(
+                    s.pruned_by_kim,
+                    s.pruned_by_keogh,
+                    s.abandoned_early,
+                    s.full_computations,
+                ),
+                Ok(ItemOutcome::Match { stats: s, .. }) => self.metrics.search_cascade.record(
+                    s.pruned_by_kim,
+                    s.pruned_by_keogh,
+                    s.abandoned_early,
+                    s.full_computations,
+                ),
+                _ => {}
+            }
+            outcomes.push(outcome);
         }
-        let outcomes: Vec<Result<ItemOutcome, DistanceError>> = routed
-            .into_iter()
-            .map(|r| r.map(|(outcome, _)| outcome))
-            .collect();
+        if fallbacks > 0 {
+            self.metrics.route_fallbacks.add(fallbacks);
+        }
 
         let mut offset = 0usize;
         for job in &live {
@@ -342,42 +368,33 @@ fn assemble(assemble: &Assemble, outcomes: &[Result<ItemOutcome, DistanceError>]
             message: err.to_string(),
         };
     }
-    let value_at = |i: usize| match outcomes[i] {
-        Ok(ItemOutcome::Value(v)) => v,
-        _ => f64::NAN,
-    };
-    let body = match assemble {
-        Assemble::Single => match outcomes.first() {
-            Some(Ok(ItemOutcome::Value(value))) => ResponseBody::Distance { value: *value },
-            _ => internal("distance job had no value outcome"),
-        },
-        Assemble::Values => ResponseBody::Batch {
-            values: (0..outcomes.len()).map(value_at).collect(),
-        },
-        Assemble::Search => match outcomes.first() {
-            Some(Ok(ItemOutcome::Match { offset, distance })) => ResponseBody::Search {
-                offset: *offset,
-                distance: *distance,
+    let body = match (assemble, outcomes) {
+        (Assemble::Single, [Ok(outcome)]) => match *outcome {
+            ItemOutcome::Value(value) => ResponseBody::Distance { value },
+            ItemOutcome::Knn {
+                label,
+                score,
+                nearest_index,
+                ..
+            } => ResponseBody::Knn {
+                label,
+                score,
+                nearest_index,
             },
-            _ => internal("search job had no match outcome"),
+            ItemOutcome::Match {
+                offset, distance, ..
+            } => ResponseBody::Search { offset, distance },
         },
-        Assemble::Knn { k, labels, invert } => {
-            if labels.is_empty() {
-                return ResponseBody::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "classifier has no training data".into(),
-                };
-            }
-            // The library's own rank-and-vote step, so a served kNN is
-            // bitwise identical to `KnnClassifier::classify`.
-            let raw: Vec<f64> = (0..outcomes.len()).map(value_at).collect();
-            let c = rank_and_vote(&raw, *invert, *k, |i| labels[i]);
-            ResponseBody::Knn {
-                label: c.label,
-                score: c.score,
-                nearest_index: c.nearest_index,
-            }
-        }
+        (Assemble::Single, _) => internal("single-item job had no single outcome"),
+        (Assemble::Values, _) => ResponseBody::Batch {
+            values: outcomes
+                .iter()
+                .map(|o| match o {
+                    Ok(ItemOutcome::Value(v)) => *v,
+                    _ => f64::NAN,
+                })
+                .collect(),
+        },
     };
     finite_or_error(body)
 }
@@ -565,56 +582,46 @@ mod tests {
     }
 
     #[test]
-    fn knn_assembly_matches_classifier_semantics() {
-        // Distances 1.0 (label 0), 0.5 (label 1), 2.0 (label 0), k=3:
-        // votes 0:2, 1:1 → label 0; nearest is index 1 (score 0.5).
-        let outcomes: Vec<Result<ItemOutcome, DistanceError>> = vec![
-            Ok(ItemOutcome::Value(1.0)),
-            Ok(ItemOutcome::Value(0.5)),
-            Ok(ItemOutcome::Value(2.0)),
-        ];
-        let body = assemble(
-            &Assemble::Knn {
-                k: 3,
-                labels: vec![0, 1, 0],
-                invert: false,
-            },
-            &outcomes,
-        );
-        assert_eq!(
-            body,
-            ResponseBody::Knn {
-                label: 0,
-                score: 0.5,
-                nearest_index: 1
-            }
-        );
-    }
-
-    #[test]
-    fn knn_empty_train_is_bad_request() {
-        let body = assemble(
-            &Assemble::Knn {
+    fn knn_item_weighs_its_training_set_at_admission() {
+        use crate::protocol::{Request, TrainInstance};
+        let store = crate::datasets::DatasetStore::new(u64::MAX);
+        let knn = |n: usize| {
+            let req = Request::Knn {
+                kind: DistanceKind::Manhattan,
                 k: 1,
-                labels: vec![],
-                invert: false,
-            },
-            &[],
-        );
-        assert!(matches!(
-            body,
-            ResponseBody::Error {
-                code: ErrorCode::BadRequest,
-                ..
-            }
-        ));
+                query: vec![0.0],
+                train: (0..n)
+                    .map(|i| TrainInstance {
+                        label: i,
+                        series: vec![i as f64],
+                    })
+                    .collect(),
+                dataset: None,
+                threshold: None,
+                band: None,
+                deadline_ms: None,
+                accuracy: None,
+            };
+            decompose(req, &store).unwrap().unwrap().items
+        };
+        let metrics = Arc::new(Metrics::new());
+        let queue = Coalescer::new(Arc::clone(&metrics), 4, 4);
+        let (tx, _rx) = mpsc::channel();
+        // One pair item queued; a 4-instance kNN item would make 5 > 4.
+        queue.submit(job(pair_items(1, 4), tx.clone())).unwrap();
+        assert!(queue.submit(job(knn(4), tx.clone())).is_err());
+        queue.submit(job(knn(3), tx)).unwrap();
+        assert_eq!(queue.queued_items(), 4);
+        assert_eq!(metrics.shed.get(), 1);
     }
 
     #[test]
     fn decomposed_knn_round_trips_through_dispatch() {
         use crate::protocol::{Request, TrainInstance};
+        // Banded DTW: the item runs the pruned scan, whose partition of
+        // the two instances reaches the metrics.
         let req = Request::Knn {
-            kind: DistanceKind::Manhattan,
+            kind: DistanceKind::Dtw,
             k: 1,
             query: vec![0.0, 0.1],
             train: vec![
@@ -629,14 +636,14 @@ mod tests {
             ],
             dataset: None,
             threshold: None,
-            band: None,
+            band: Some(1),
             deadline_ms: None,
             accuracy: None,
         };
         let store = crate::datasets::DatasetStore::new(u64::MAX);
         let d = decompose(req, &store).unwrap().unwrap();
         let metrics = Arc::new(Metrics::new());
-        let queue = Arc::new(Coalescer::new(metrics, 64, 64));
+        let queue = Arc::new(Coalescer::new(Arc::clone(&metrics), 64, 64));
         let (tx, rx) = mpsc::channel();
         queue
             .submit(Job {
@@ -661,6 +668,14 @@ mod tests {
                 ..
             }
         ));
+        // Instance 1's LB_Keogh (9.8) exceeds instance 0's distance (0.1).
+        assert_eq!(metrics.knn_cascade.full_dtw.get(), 1);
+        assert_eq!(metrics.knn_cascade.pruned_keogh.get(), 1);
+        assert_eq!(
+            metrics.batch_items.get(),
+            2,
+            "a kNN item weighs its training set"
+        );
         queue.begin_drain();
         handle.join().unwrap();
     }

@@ -2,7 +2,7 @@
 //! bitwise-identical results to direct library calls, overload must shed
 //! with `overloaded` (never panic or deadlock), and shutdown must drain.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -148,8 +148,8 @@ fn served_search_matches_direct_subsequence_search() {
 
 #[test]
 fn over_capacity_burst_is_shed_with_overloaded_replies() {
-    // Tiny queue, one-item batches: the dispatcher drains slowly while a
-    // long search holds it busy, so a pipelined burst must overflow.
+    // Tiny queue, one-item batches: the dispatcher is busy with a long
+    // search while a pipelined burst arrives, so the burst must overflow.
     let server = start(ServerConfig {
         workers: Some(1),
         max_queue_items: 4,
@@ -162,12 +162,15 @@ fn over_capacity_burst_is_shed_with_overloaded_replies() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
 
-    // Frame 0: a slow search that occupies the dispatcher.
+    // Frame 0: a search that occupies the dispatcher for tens of ms. Every
+    // window of an all-zero haystack ties the all-zero query at distance 0,
+    // so no bound prunes and no DTW abandons: all 11 873 windows run
+    // their full banded DTW (~47 M cells).
     let slow = Envelope {
         id: 0,
         req: Request::Search {
-            query: series(128, 1),
-            haystack: series(6000, 2),
+            query: vec![0.0; 128],
+            haystack: vec![0.0; 12_000],
             dataset: None,
             series_index: 0,
             window: 128,
@@ -176,15 +179,17 @@ fn over_capacity_burst_is_shed_with_overloaded_replies() {
             accuracy: None,
         },
     };
-    write_frame(&mut writer, &encode_request(&slow)).expect("write slow search");
-
-    // Burst: each batch carries 8 work items against a 4-item queue. The
-    // first is admitted (empty-queue exception); while it waits behind the
-    // slow search the rest must be shed.
+    // Burst: each batch carries 2 work items against a 4-item queue.
+    // Whether or not the dispatcher has taken the search off the queue by
+    // then, the first fits; from the third on they must be shed.
     let burst = 10;
-    let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..8)
+    let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..2)
         .map(|i| (series(64, i), series(64, i + 50)))
         .collect();
+    // All 11 frames leave in one write, so the burst lands while the
+    // search runs.
+    let mut frames = Vec::new();
+    write_frame(&mut frames, &encode_request(&slow)).expect("frame slow search");
     for id in 1..=burst {
         let env = Envelope {
             id,
@@ -199,8 +204,9 @@ fn over_capacity_burst_is_shed_with_overloaded_replies() {
                 accuracy: None,
             },
         };
-        write_frame(&mut writer, &encode_request(&env)).expect("write burst frame");
+        write_frame(&mut frames, &encode_request(&env)).expect("frame burst");
     }
+    writer.write_all(&frames).expect("write burst");
 
     let mut ok = 0usize;
     let mut overloaded = 0usize;
@@ -918,7 +924,7 @@ fn connection_cap_rejects_excess_accepts() {
 
 #[test]
 fn http_scrape_on_the_same_port_returns_metrics_text() {
-    use std::io::{Read, Write};
+    use std::io::Read;
     let server = start(ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.ping().expect("ping");
@@ -932,6 +938,100 @@ fn http_scrape_on_the_same_port_returns_metrics_text() {
     http.read_to_string(&mut response).expect("http response");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("mda_requests_total"), "{response}");
+    server.shutdown_and_join();
+}
+
+/// Value of the `mda_cascade_total` series for `task` and `stage`.
+fn cascade_counter(text: &str, task: &str, stage: &str) -> usize {
+    let key = format!("mda_cascade_total{{task=\"{task}\",stage=\"{stage}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(key.as_str()))
+        .unwrap_or_else(|| panic!("no `{key}` in:\n{text}"))
+        .parse()
+        .expect("counter value")
+}
+
+#[test]
+fn cascade_partitions_are_exported_as_metrics() {
+    use mda_distance::mining::banded_dtw_knn;
+    use mda_distance::DpScratch;
+
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // Banded-DTW kNN over a corpus where most instances are far from the
+    // query, so the scan prunes and abandons.
+    let train: Vec<TrainInstance> = (0..24)
+        .map(|i| TrainInstance {
+            label: i % 3,
+            series: series(48, 200 + i),
+        })
+        .collect();
+    let query = series(48, 205);
+    let opts = QueryOptions::new().band(3);
+    let served = client
+        .query_knn(DistanceKind::Dtw, 1, &query, &train, &opts)
+        .expect("knn")
+        .value;
+    let series_only: Vec<&[f64]> = train.iter().map(|t| &t.series[..]).collect();
+    let (direct, knn) = banded_dtw_knn(
+        &query,
+        &series_only,
+        |i| train[i].label,
+        1,
+        3,
+        &mut DpScratch::new(),
+    )
+    .expect("direct knn");
+    assert_eq!(served.nearest_index, direct.nearest_index);
+    assert!(knn.pruned_by_keogh + knn.abandoned_early > 0, "{knn:?}");
+
+    let haystack = series(300, 7);
+    let needle = haystack[120..152].to_vec();
+    client
+        .query_search(&needle, &haystack, 0, 32, 2, &QueryOptions::new())
+        .expect("search");
+    let (_, search) = SubsequenceSearch::new(32, 2)
+        .with_engine(BatchEngine::serial())
+        .run(&needle, &haystack)
+        .expect("direct search");
+
+    let text = client.metrics_text().expect("metrics");
+    for (task, [kim, keogh, abandoned, full]) in [
+        (
+            "knn",
+            [
+                knn.pruned_by_kim,
+                knn.pruned_by_keogh,
+                knn.abandoned_early,
+                knn.full_computations,
+            ],
+        ),
+        (
+            "search",
+            [
+                search.pruned_by_kim,
+                search.pruned_by_keogh,
+                search.abandoned_early,
+                search.full_computations,
+            ],
+        ),
+    ] {
+        assert_eq!(cascade_counter(&text, task, "pruned_kim"), kim, "{task}");
+        assert_eq!(
+            cascade_counter(&text, task, "pruned_keogh"),
+            keogh,
+            "{task}"
+        );
+        assert_eq!(
+            cascade_counter(&text, task, "abandoned"),
+            abandoned,
+            "{task}"
+        );
+        assert_eq!(cascade_counter(&text, task, "full_dtw"), full, "{task}");
+    }
+    assert_eq!(knn.instances(), train.len());
+    assert_eq!(search.windows, haystack.len() - 32 + 1);
     server.shutdown_and_join();
 }
 
