@@ -13,7 +13,10 @@
 //!    Any mismatch exits non-zero.
 //! 2. **ns/cell** — per-kernel serial throughput, baseline vs reworked,
 //!    plus the kNN scan's seconds and prune partition against the
-//!    exhaustive classifier.
+//!    exhaustive classifier, and the search's seconds and prune partition
+//!    both at the default chunk size and in the served configuration (one
+//!    chunk, so the best-so-far tightens across the whole haystack; its
+//!    match is identity-gated too).
 //! 3. **Search speedup (fatal)** — end-to-end subsequence search must be
 //!    ≥ 2× faster than the pre-rework path on the standard workload.
 //!
@@ -25,7 +28,7 @@ use std::time::Instant;
 use mda_bench::kernels_baseline as baseline;
 use mda_bench::Table;
 use mda_distance::mining::{
-    banded_dtw_knn, Classified, KnnClassifier, KnnStats, SubsequenceSearch,
+    banded_dtw_knn, Classified, KnnClassifier, KnnStats, SearchStats, SubsequenceSearch,
 };
 use mda_distance::quantized::QuantizedDtw;
 use mda_distance::{Band, BatchEngine, DpScratch, Dtw, EditDistance, Lcs};
@@ -387,7 +390,10 @@ struct SearchRun {
     baseline_seconds: f64,
     new_seconds: f64,
     baseline_prune_rate: f64,
-    new_prune_rate: f64,
+    stats: SearchStats,
+    /// The served configuration: one chunk over the whole haystack.
+    served_seconds: f64,
+    served_stats: SearchStats,
     identical: bool,
 }
 
@@ -415,14 +421,20 @@ fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, 
     let search = SubsequenceSearch::new(window, radius).with_engine(BatchEngine::serial());
     let (t_new, _) = best_of_3(|| search.run(&query, &haystack).unwrap().0.distance);
     let (m, stats) = search.run(&query, &haystack).unwrap();
+    let served = search.with_engine(BatchEngine::serial().with_chunk_size(usize::MAX));
+    let (t_served, _) = best_of_3(|| served.run(&query, &haystack).unwrap().0.distance);
+    let (served_m, served_stats) = served.run(&query, &haystack).unwrap();
 
-    let identical = m.offset == base.offset && m.distance.to_bits() == base.distance.to_bits();
-    if !identical {
-        eprintln!(
-            "IDENTITY MISMATCH: search baseline ({}, {}) vs new ({}, {})",
-            base.offset, base.distance, m.offset, m.distance
-        );
-        mismatches += 1;
+    let mut identical = true;
+    for (name, m) in [("new", &m), ("served", &served_m)] {
+        if m.offset != base.offset || m.distance.to_bits() != base.distance.to_bits() {
+            eprintln!(
+                "IDENTITY MISMATCH: search baseline ({}, {}) vs {name} ({}, {})",
+                base.offset, base.distance, m.offset, m.distance
+            );
+            mismatches += 1;
+            identical = false;
+        }
     }
     (
         SearchRun {
@@ -432,10 +444,28 @@ fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, 
             baseline_seconds: t_base,
             new_seconds: t_new,
             baseline_prune_rate: base.prune_rate(),
-            new_prune_rate: stats.prune_rate(),
+            stats,
+            served_seconds: t_served,
+            served_stats,
             identical,
         },
         mismatches,
+    )
+}
+
+/// A search's prune partition as one JSON object.
+fn partition_json(s: &SearchStats) -> String {
+    format!(
+        "{{\"windows\": {}, \"pruned_by_kim\": {}, \"pruned_by_keogh\": {}, \"abandoned\": {}, \"full_dtw\": {}}}",
+        s.windows, s.pruned_by_kim, s.pruned_by_keogh, s.abandoned_early, s.full_computations
+    )
+}
+
+/// A search's prune partition for the console.
+fn partition_text(s: &SearchStats) -> String {
+    format!(
+        "kim {} keogh {} abandoned {} full {}",
+        s.pruned_by_kim, s.pruned_by_keogh, s.abandoned_early, s.full_computations
     )
 }
 
@@ -483,6 +513,11 @@ fn json(
             "    \"speedup\": {:.3},\n",
             "    \"baseline_prune_rate\": {:.4},\n",
             "    \"new_prune_rate\": {:.4},\n",
+            "    \"new_partition\": {},\n",
+            "    \"served_seconds\": {:.6},\n",
+            "    \"served_speedup\": {:.3},\n",
+            "    \"served_prune_rate\": {:.4},\n",
+            "    \"served_partition\": {},\n",
             "    \"identical\": {}\n",
             "  }},\n",
         ),
@@ -493,7 +528,12 @@ fn json(
         search.new_seconds,
         search.baseline_seconds / search.new_seconds,
         search.baseline_prune_rate,
-        search.new_prune_rate,
+        search.stats.prune_rate(),
+        partition_json(&search.stats),
+        search.served_seconds,
+        search.baseline_seconds / search.served_seconds,
+        search.served_stats.prune_rate(),
+        partition_json(&search.served_stats),
         search.identical,
     ));
     s.push_str(&format!(
@@ -571,7 +611,7 @@ fn main() {
     mismatches += search_mismatches;
     let search_speedup = search.baseline_seconds / search.new_seconds;
     println!(
-        "\nsubsequence search: haystack {} window {} radius {}: baseline {:.4}s, new {:.4}s ({:.2}x), prune {:.1}% -> {:.1}%",
+        "\nsubsequence search: haystack {} window {} radius {}: baseline {:.4}s, new {:.4}s ({:.2}x), prune {:.1}% -> {:.1}%; {}",
         search.haystack_len,
         search.window,
         search.radius,
@@ -579,7 +619,15 @@ fn main() {
         search.new_seconds,
         search_speedup,
         search.baseline_prune_rate * 100.0,
-        search.new_prune_rate * 100.0,
+        search.stats.prune_rate() * 100.0,
+        partition_text(&search.stats),
+    );
+    println!(
+        "served search (one chunk): {:.4}s ({:.2}x), prune {:.1}%; {}",
+        search.served_seconds,
+        search.baseline_seconds / search.served_seconds,
+        search.served_stats.prune_rate() * 100.0,
+        partition_text(&search.served_stats),
     );
 
     let (knn, knn_mismatches) = knn_run(knn_instances, 16, len);

@@ -24,7 +24,9 @@
 //! items prune cheaply does not leave its worker idle while a neighbour
 //! grinds through full DP computations.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::error::DistanceError;
 use crate::scratch::DpScratch;
@@ -60,10 +62,16 @@ impl Default for BatchEngine {
 impl BatchEngine {
     /// An engine using every available core (as reported by
     /// [`std::thread::available_parallelism`]; 1 if unknown).
+    ///
+    /// The core count is probed once per process: the probe reads cgroup
+    /// files on Linux (tens of µs), and drivers build engines per call.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let threads = *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        });
         BatchEngine {
             threads,
             chunk_size: DEFAULT_CHUNK_SIZE,
@@ -148,63 +156,62 @@ impl BatchEngine {
         self.chunk_size
     }
 
-    /// The core primitive: runs `f` once per fixed-size chunk of `items`,
-    /// threading a per-worker state value (from `init`) through every chunk a
-    /// worker claims, and returns the concatenated per-chunk outputs in item
-    /// order.
+    /// The core primitive: splits the index range `0..len` into fixed-size
+    /// chunks, runs `f` once per chunk — threading a per-worker state value
+    /// (from `init`) through every chunk a worker claims — and returns one
+    /// output per chunk, in chunk order.
     ///
-    /// `f` receives `(state, chunk_start_index, chunk_items)` and returns one
-    /// output per chunk item. Chunk boundaries depend only on the chunk
-    /// size, so outputs are identical for every thread count.
+    /// `f` receives `(state, chunk_range)`. Chunk boundaries depend only on
+    /// the chunk size, so outputs are identical for every thread count. A
+    /// driver that folds each chunk into one partial result (e.g. a
+    /// best-so-far and a pruning tally) needs no per-item storage at all.
     ///
     /// # Errors
     ///
-    /// Returns the error of the lowest-indexed failing chunk (within a chunk,
-    /// `f` decides; the drivers short-circuit at the first failing item).
-    pub fn try_map_chunks<S, T, R, E, I, F>(&self, items: &[T], init: I, f: F) -> Result<Vec<R>, E>
+    /// Returns the error of the lowest-indexed failing chunk.
+    pub fn try_map_ranges<S, R, E, I, F>(&self, len: usize, init: I, f: F) -> Result<Vec<R>, E>
     where
-        T: Sync,
         R: Send,
         E: Send,
         I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &[T]) -> Result<Vec<R>, E> + Sync,
+        F: Fn(&mut S, Range<usize>) -> Result<R, E> + Sync,
     {
-        if items.is_empty() {
+        let chunk_count = len.div_ceil(self.chunk_size);
+        let range = |ci: usize| {
+            let start = ci * self.chunk_size;
+            start..start.saturating_add(self.chunk_size).min(len)
+        };
+        let workers = self.threads.min(chunk_count);
+        if workers == 0 {
             return Ok(Vec::new());
         }
-        let chunk_count = items.len().div_ceil(self.chunk_size);
-        let workers = self.threads.min(chunk_count);
 
         // Inline fast path: nothing to gain from spawning.
         if workers == 1 {
             let mut state = init();
-            let mut out = Vec::with_capacity(items.len());
-            for (ci, chunk) in items.chunks(self.chunk_size).enumerate() {
-                out.extend(f(&mut state, ci * self.chunk_size, chunk)?);
-            }
-            return Ok(out);
+            return (0..chunk_count)
+                .map(|ci| f(&mut state, range(ci)))
+                .collect();
         }
 
         let next = AtomicUsize::new(0);
-        let mut per_chunk: Vec<Option<Result<Vec<R>, E>>> =
-            (0..chunk_count).map(|_| None).collect();
+        let mut per_chunk: Vec<Option<Result<R, E>>> = (0..chunk_count).map(|_| None).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     let init = &init;
                     let f = &f;
+                    let range = &range;
                     scope.spawn(move || {
                         let mut state = init();
-                        let mut local: Vec<(usize, Result<Vec<R>, E>)> = Vec::new();
+                        let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
                         loop {
                             let ci = next.fetch_add(1, Ordering::Relaxed);
                             if ci >= chunk_count {
                                 break;
                             }
-                            let start = ci * self.chunk_size;
-                            let end = (start + self.chunk_size).min(items.len());
-                            local.push((ci, f(&mut state, start, &items[start..end])));
+                            local.push((ci, f(&mut state, range(ci))));
                         }
                         local
                     })
@@ -220,11 +227,42 @@ impl BatchEngine {
             }
         });
 
-        // Ordered reduction: concatenate chunk outputs, surfacing the error
-        // of the lowest-indexed failing chunk — what a serial loop hits.
+        // Ordered reduction: chunk outputs in order, surfacing the error of
+        // the lowest-indexed failing chunk — what a serial loop hits.
+        per_chunk
+            .into_iter()
+            .map(|result| result.expect("every chunk index was claimed exactly once"))
+            .collect()
+    }
+
+    /// Runs `f` once per fixed-size chunk of `items` and returns the
+    /// concatenated per-chunk outputs in item order.
+    ///
+    /// `f` receives `(state, chunk_start_index, chunk_items)` and returns one
+    /// output per chunk item; see [`Self::try_map_ranges`] for the chunking
+    /// and per-worker state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the lowest-indexed failing chunk (within a chunk,
+    /// `f` decides; the drivers short-circuit at the first failing item).
+    pub fn try_map_chunks<S, T, R, E, I, F>(&self, items: &[T], init: I, f: F) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &[T]) -> Result<Vec<R>, E> + Sync,
+    {
+        let mut chunks = self.try_map_ranges(items.len(), init, |state, range| {
+            f(state, range.start, &items[range])
+        })?;
+        if chunks.len() == 1 {
+            return Ok(chunks.swap_remove(0));
+        }
         let mut out = Vec::with_capacity(items.len());
-        for result in per_chunk {
-            out.extend(result.expect("every chunk index was claimed exactly once")?);
+        for chunk in chunks {
+            out.extend(chunk);
         }
         Ok(out)
     }
@@ -409,6 +447,22 @@ mod tests {
         assert_eq!(starts[31], 0);
         assert_eq!(starts[32], 32);
         assert_eq!(starts[99], 96);
+    }
+
+    #[test]
+    fn ranges_cover_the_index_space_in_chunk_order() {
+        for threads in [1, 3] {
+            let ranges = |chunk: usize, len: usize| {
+                BatchEngine::serial()
+                    .with_threads(threads)
+                    .with_chunk_size(chunk)
+                    .try_map_ranges(len, || (), |(), r| Ok::<_, ()>(r))
+                    .unwrap()
+            };
+            assert_eq!(ranges(32, 100), vec![0..32, 32..64, 64..96, 96..100]);
+            assert_eq!(ranges(usize::MAX, 100), vec![0..100]);
+            assert!(ranges(7, 0).is_empty());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! best-so-far. Envelopes are computed in O(n) with Lemire's monotonic-deque
 //! streaming min/max (independent of the band radius), and
 //! [`cascading_dtw_with`] caches the query envelope inside [`DpScratch`] so a
-//! search evaluating thousands of windows against one query envelopes it
+//! scan evaluating thousands of candidates against one query envelopes it
 //! exactly once. The `kernels` and `lower_bounds` benches measure the pruning
 //! power that the paper's CPU baseline relies on.
 
@@ -128,16 +128,20 @@ pub fn envelope(q: &[f64], r: usize) -> Result<(Vec<f64>, Vec<f64>), DistanceErr
 pub fn lb_keogh_envelope(p: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
     p.iter()
         .zip(upper.iter().zip(lower))
-        .map(|(&x, (&u, &l))| {
-            if x > u {
-                x - u
-            } else if x < l {
-                l - x
-            } else {
-                0.0
-            }
-        })
+        .map(|(&x, (&u, &l))| keogh_term(x, u, l))
         .sum()
+}
+
+/// One LB_Keogh term: the L1 distance from `x` to `[l, u]`. Never negative.
+#[inline]
+pub(crate) fn keogh_term(x: f64, u: f64, l: f64) -> f64 {
+    if x > u {
+        x - u
+    } else if x < l {
+        l - x
+    } else {
+        0.0
+    }
 }
 
 /// LB_Keogh: the L1 cost of the parts of `p` that fall outside the band-`r`

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::batch::BatchEngine;
 use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
-use crate::lower_bounds::{cascading_dtw_with, lb_kim, PruneDecision};
+use crate::lower_bounds::{envelope, envelope_into, keogh_term, lb_kim};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
@@ -57,6 +57,33 @@ pub struct Match {
     pub offset: usize,
     /// Banded DTW distance of the best window.
     pub distance: f64,
+}
+
+/// Terms per threshold check in [`lb_keogh_exceeds`].
+const KEOGH_BLOCK: usize = 16;
+
+/// `true` exactly when `lb_keogh_envelope(p, upper, lower) > threshold`.
+///
+/// Sums in the same sequential order but checks the partial sum every
+/// [`KEOGH_BLOCK`] terms and stops once it exceeds `threshold`. Every term
+/// is non-negative, and adding a non-negative term never lowers an fp sum,
+/// so a partial sum above the threshold implies the full sum is too: the
+/// decision is bitwise the full sum's.
+fn lb_keogh_exceeds(p: &[f64], upper: &[f64], lower: &[f64], threshold: f64) -> bool {
+    let mut sum = 0.0;
+    for ((p, u), l) in p
+        .chunks(KEOGH_BLOCK)
+        .zip(upper.chunks(KEOGH_BLOCK))
+        .zip(lower.chunks(KEOGH_BLOCK))
+    {
+        for ((&x, &u), &l) in p.iter().zip(u).zip(l) {
+            sum += keogh_term(x, u, l);
+        }
+        if sum > threshold {
+            return true;
+        }
+    }
+    false
 }
 
 /// Sliding-window DTW subsequence search with cascading lower bounds.
@@ -167,13 +194,20 @@ impl SubsequenceSearch {
 
     /// Runs the search, returning the best match and pruning statistics.
     ///
-    /// The window batch runs in three deterministic stages on the engine:
-    /// an O(1)-per-window LB_Kim **scout pass** picks the most promising
-    /// window (ties to lowest offset); its full banded DTW becomes a fixed
-    /// pruning threshold every chunk starts from (tightened chunk-locally);
-    /// and an ordered reduction takes the minimum computed distance, ties
-    /// broken by the lowest offset — exactly like the serial scan. Match and
-    /// statistics are therefore identical for every thread count.
+    /// An O(1)-per-window LB_Kim **scout pass** picks the most promising
+    /// window (ties to lowest offset); its full banded DTW is the starting
+    /// pruning threshold. Then one fused scan per engine chunk folds every
+    /// window's cascade decision — pre-filter, LB_Kim, LB_Keogh against the
+    /// query envelope (computed once per search), reversed LB_Keogh,
+    /// early-abandoning DTW — straight into a per-chunk partial, tightening
+    /// the threshold as it goes. The partials reduce in chunk order, ties to
+    /// the lowest offset, exactly like the serial scan.
+    ///
+    /// Chunk boundaries depend only on the engine's chunk size, so match and
+    /// statistics are identical for every thread count. A single chunk
+    /// (`with_chunk_size(usize::MAX)`) carries the best-so-far across the
+    /// whole haystack; the match is the same at every chunk size, only the
+    /// statistics shift between stages.
     ///
     /// # Errors
     ///
@@ -197,127 +231,142 @@ impl SubsequenceSearch {
         }
         ensure_finite("query", query)?;
         ensure_finite("haystack", haystack)?;
-        let query_owned: Vec<f64> = if self.z_normalize {
+        let query: Vec<f64> = if self.z_normalize {
             z_normalized(query)
         } else {
             query.to_vec()
         };
-        let offsets: Vec<usize> = (0..=(haystack.len() - self.window)).collect();
-        let mut stats = SearchStats {
-            windows: offsets.len(),
-            ..SearchStats::default()
+        let windows = haystack.len() - self.window + 1;
+        let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
+
+        // Scout: LB_Kim is admissible, so the window with the smallest bound
+        // is the best guess at the match (first minimum on ties).
+        let mut buf = Vec::new();
+        let mut scout = (0, f64::INFINITY);
+        for off in 0..windows {
+            let kim = lb_kim(&query, self.window_into(haystack, off, &mut buf))?;
+            if off == 0 || kim.total_cmp(&scout.1).is_lt() {
+                scout = (off, kim);
+            }
+        }
+        let scout_off = scout.0;
+        let best_ub = dtw.distance(&query, self.window_into(haystack, scout_off, &mut buf))?;
+
+        // Program the stage-0 pre-filter for the (z-normalized) query at the
+        // scout threshold. A rejection certifies
+        // `LB_Keogh(window) > best_ub >= threshold`, i.e. a window the
+        // cascade would have discarded at its Keogh layer without touching
+        // the threshold — so skipping it leaves every other window's
+        // decision bitwise-unchanged.
+        let predicate = self.prefilter.as_ref().and_then(|filter| {
+            filter.program(DistanceKind::Dtw, &query, self.band_radius, best_ub)
+        });
+        // LB_Keogh needs equal lengths; the envelope is built once here, not
+        // revalidated per window.
+        let query_envelope = if query.len() == self.window {
+            Some(envelope(&query, self.band_radius)?)
+        } else {
+            None
         };
 
-        // Stage 1: scout. LB_Kim is admissible, so the window with the
-        // smallest bound is the best guess at the match.
-        let kims =
-            self.engine
-                .try_map_with(&offsets, Vec::new, |buf: &mut Vec<f64>, _, &off| {
-                    lb_kim(&query_owned, self.window_into(haystack, off, buf))
-                })?;
-        let scout = kims
-            .iter()
-            .enumerate()
-            .min_by(|x, y| x.1.total_cmp(y.1))
-            .map(|(i, _)| i)
-            .expect("haystack holds at least one window");
-        let scout_off = offsets[scout];
-        let mut scout_buf = Vec::new();
-        let best_ub = Dtw::new()
-            .with_band(Band::SakoeChiba(self.band_radius))
-            .distance(
-                &query_owned,
-                self.window_into(haystack, scout_off, &mut scout_buf),
-            )?;
-
-        // Stage 1b: program the stage-0 pre-filter for the (z-normalized)
-        // query at the fixed scout threshold. A rejection certifies
-        // `LB_Keogh(window) > best_ub >= local_best`, i.e. a window the
-        // stage-2 cascade would have discarded at its Keogh layer without
-        // touching `local_best` — so skipping its cascade call leaves every
-        // other window's decision bitwise-unchanged.
-        let predicate = self.prefilter.as_ref().and_then(|filter| {
-            filter.program(DistanceKind::Dtw, &query_owned, self.band_radius, best_ub)
-        });
-
-        // Stage 2: cascade every window against the fixed scout threshold,
-        // tightening chunk-locally. The true best window always survives:
-        // its distance is <= every threshold the cascade can hold.
-        let decisions = self.engine.try_map_chunks(
-            &offsets,
+        // Fused scan: every chunk starts from the scout threshold and
+        // tightens it window by window. The true best window always
+        // survives: its distance is <= every threshold the scan can hold.
+        let partials = self.engine.try_map_ranges(
+            windows,
             || (DpScratch::new(), Vec::new()),
-            |(scratch, buf), _, chunk| {
-                let mut local_best = best_ub;
-                chunk
-                    .iter()
-                    .map(|&off| {
-                        let window = if self.z_normalize {
-                            buf.clear();
-                            buf.extend_from_slice(&haystack[off..off + self.window]);
-                            z_normalize_in_place(buf);
-                            &buf[..]
-                        } else {
-                            &haystack[off..off + self.window]
-                        };
-                        let decision = if off == scout_off {
-                            // The scout window's full DTW is already known —
-                            // it is the stage-1 threshold. Reusing it (instead
-                            // of cascading, which chunk-local tightening could
-                            // abandon) guarantees stage 3 always sees at least
-                            // one `Computed` decision, so the returned match
-                            // is a real, fully evaluated window.
-                            PruneDecision::Computed(best_ub)
-                        } else {
-                            match &predicate {
-                                Some(p) if !p.admit(window) => return Ok(None),
-                                _ => {}
+            |(scratch, buf), range| {
+                let mut stats = SearchStats {
+                    windows: range.len(),
+                    ..SearchStats::default()
+                };
+                let mut best = Match {
+                    offset: 0,
+                    distance: f64::INFINITY,
+                };
+                let mut threshold = best_ub;
+                for off in range {
+                    let window = self.window_into(haystack, off, buf);
+                    let d = if off == scout_off {
+                        // The scout's full DTW is already known. Reusing it
+                        // (instead of cascading, which a tightened threshold
+                        // could abandon) guarantees at least one computed
+                        // window, so the match is a real, fully evaluated
+                        // window.
+                        best_ub
+                    } else {
+                        if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
+                            stats.pruned_by_prefilter += 1;
+                            continue;
+                        }
+                        if lb_kim(&query, window)? > threshold {
+                            stats.pruned_by_kim += 1;
+                            continue;
+                        }
+                        if let Some((upper, lower)) = &query_envelope {
+                            if lb_keogh_exceeds(window, upper, lower, threshold) {
+                                stats.pruned_by_keogh += 1;
+                                continue;
                             }
-                            cascading_dtw_with(
-                                &query_owned,
+                            envelope_into(
                                 window,
                                 self.band_radius,
-                                local_best,
-                                scratch,
-                            )?
-                        };
-                        if let PruneDecision::Computed(d) = decision {
-                            if d < local_best {
-                                local_best = d;
+                                &mut scratch.ce_upper,
+                                &mut scratch.ce_lower,
+                                &mut scratch.deque,
+                            );
+                            if lb_keogh_exceeds(
+                                &query,
+                                &scratch.ce_upper,
+                                &scratch.ce_lower,
+                                threshold,
+                            ) {
+                                stats.pruned_by_keogh += 1;
+                                continue;
                             }
                         }
-                        Ok(Some(decision))
-                    })
-                    .collect()
-            },
-        )?;
-
-        // Stage 3: ordered reduction. The scout window is always `Computed`,
-        // so `best` is never the infinite placeholder on return.
-        let mut best = Match {
-            offset: 0,
-            distance: f64::INFINITY,
-        };
-        for (&offset, decision) in offsets.iter().zip(decisions) {
-            match decision {
-                None => stats.pruned_by_prefilter += 1,
-                Some(PruneDecision::PrunedByKim(_)) => stats.pruned_by_kim += 1,
-                Some(PruneDecision::PrunedByKeogh(_)) => stats.pruned_by_keogh += 1,
-                Some(PruneDecision::AbandonedEarly) => stats.abandoned_early += 1,
-                Some(PruneDecision::Computed(d)) => {
+                        match dtw.distance_early_abandon_with(&query, window, threshold, scratch)? {
+                            Some(d) => d,
+                            None => {
+                                stats.abandoned_early += 1;
+                                continue;
+                            }
+                        }
+                    };
                     stats.full_computations += 1;
+                    if d < threshold {
+                        threshold = d;
+                    }
                     if d < best.distance {
                         best = Match {
-                            offset,
+                            offset: off,
                             distance: d,
                         };
                     }
                 }
+                Ok((stats, best))
+            },
+        )?;
+
+        // Ordered reduction. The scout window is always computed, so `best`
+        // is never the infinite placeholder on return.
+        let mut stats = SearchStats::default();
+        let mut best = Match {
+            offset: 0,
+            distance: f64::INFINITY,
+        };
+        for (part, m) in partials {
+            stats.windows += part.windows;
+            stats.pruned_by_prefilter += part.pruned_by_prefilter;
+            stats.pruned_by_kim += part.pruned_by_kim;
+            stats.pruned_by_keogh += part.pruned_by_keogh;
+            stats.abandoned_early += part.abandoned_early;
+            stats.full_computations += part.full_computations;
+            if m.distance < best.distance {
+                best = m;
             }
         }
-        debug_assert!(
-            best.distance.is_finite(),
-            "scout window must yield a Computed decision"
-        );
+        debug_assert!(best.distance.is_finite(), "scout window must be computed");
         Ok((best, stats))
     }
 
@@ -516,6 +565,51 @@ mod tests {
                 + stats.full_computations
         );
         assert_eq!(stats.pruned_by_prefilter, 0, "no filter installed");
+    }
+
+    /// The block-checked LB_Keogh decides exactly as the full sum does —
+    /// including at thresholds equal to the full sum, just below it, and at
+    /// every partial sum where a block check fires.
+    #[test]
+    fn block_checked_keogh_decides_like_the_full_sum() {
+        use crate::lower_bounds::{envelope, lb_keogh_envelope};
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for len in [1, 5, 15, 16, 17, 32, 40, 128] {
+            for scale in [1.0, 1e-3, 1e300] {
+                let q: Vec<f64> = (0..len).map(|_| next() * scale).collect();
+                let p: Vec<f64> = (0..len).map(|_| next() * scale * 3.0).collect();
+                let (upper, lower) = envelope(&q, 2).unwrap();
+                let full = lb_keogh_envelope(&p, &upper, &lower);
+                let mut partials = Vec::new();
+                let mut sum = 0.0;
+                for (i, &x) in p.iter().enumerate() {
+                    sum += keogh_term(x, upper[i], lower[i]);
+                    partials.push(sum);
+                }
+                assert_eq!(sum.to_bits(), full.to_bits(), "same summation order");
+                let mut thresholds = vec![
+                    0.0,
+                    full,
+                    f64::from_bits(full.to_bits().saturating_sub(1)),
+                    f64::from_bits(full.to_bits() + 1),
+                    f64::INFINITY,
+                ];
+                thresholds.extend(partials);
+                for t in thresholds {
+                    assert_eq!(
+                        lb_keogh_exceeds(&p, &upper, &lower, t),
+                        full > t,
+                        "len {len} scale {scale} threshold {t} full {full}"
+                    );
+                }
+            }
+        }
     }
 
     /// The identity filter must leave the match AND the statistics exactly

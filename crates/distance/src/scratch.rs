@@ -15,7 +15,7 @@
 //! * the **cached query envelope** of the UCR pruning cascade: the upper and
 //!   lower Sakoe–Chiba envelope of the query is computed once (O(n), Lemire's
 //!   monotonic deque) and revalidated with a cheap bitwise compare, so a
-//!   search evaluating thousands of windows against one query never
+//!   cascade evaluating thousands of candidates against one query never
 //!   re-envelopes it,
 //! * candidate-envelope and deque buffers for the O(n) envelope pass itself.
 

@@ -14,7 +14,8 @@ use proptest::prelude::*;
 
 use mda_acam::{AcamPrefilter, FaultPlan, MarginPolicy};
 use mda_distance::mining::prefilter::CandidateFilter;
-use mda_distance::mining::SubsequenceSearch;
+use mda_distance::mining::{SearchStats, SubsequenceSearch};
+use mda_distance::BatchEngine;
 
 fn value() -> impl Strategy<Value = f64> {
     -1.0e3..1.0e3
@@ -266,6 +267,161 @@ fn filtered_knn_is_bitwise_identical() {
                     assert_eq!(a.nearest_index, b.nearest_index, "{name} k={k}");
                     assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name} k={k}");
                 }
+            }
+        }
+    }
+}
+
+/// The engine chunk sizes the partition properties sweep: every window its
+/// own chunk, an odd size, the default, and one chunk for the whole haystack.
+const CHUNK_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
+
+/// The series shapes the partition properties cover.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// A random walk: the shape of real sensor traces, where neighbouring
+    /// windows overlap in value and the cascade's thresholds matter.
+    Walk,
+    /// Plateaus of a few shared levels (runs of 1..6 points): whole
+    /// stretches are constant and many windows tie each other exactly.
+    Plateaus,
+    /// Values at ±1e300 beside ordinary ones: bounds and DTW sums that lose
+    /// every small term to rounding.
+    Huge,
+}
+
+/// Turns raw draws `(selector, step)` into a series of `shape`.
+fn shaped(shape: Shape, draws: &[(usize, f64)], run: usize) -> Vec<f64> {
+    match shape {
+        Shape::Walk => draws
+            .iter()
+            .scan(0.0, |level, &(_, step)| {
+                *level += step;
+                Some(*level)
+            })
+            .collect(),
+        Shape::Plateaus => (0..draws.len())
+            .map(|i| [-2.0, 0.0, 0.0, 1.5][draws[i / run].0])
+            .collect(),
+        Shape::Huge => draws
+            .iter()
+            .map(|&(k, x)| [1e300, -1e300, x, x * 1e300][k])
+            .collect(),
+    }
+}
+
+/// `(query, haystack, window, radius)` of one shape: the query is either
+/// cut from the haystack or drawn fresh.
+fn search_case(shape: Shape) -> impl Strategy<Value = (Vec<f64>, Vec<f64>, usize, usize)> {
+    let draws = |len: usize| prop::collection::vec((0usize..4, -1.0f64..1.0), len);
+    (2usize..12, 0usize..140, 0usize..4).prop_flat_map(move |(window, extra, radius)| {
+        (
+            draws(window),
+            draws(window + extra),
+            (1usize..6, 0usize..2, 0..=extra),
+        )
+            .prop_map(move |(fresh, haystack, (run, cut, at))| {
+                let haystack = shaped(shape, &haystack, run);
+                let query = if cut == 1 {
+                    haystack[at..at + window].to_vec()
+                } else {
+                    shaped(shape, &fresh, run)
+                };
+                (query, haystack, window, radius)
+            })
+    })
+}
+
+/// Runs the search at every chunk size on 1 and 3 threads and checks:
+/// (a) the match is `run_brute_force`'s, bitwise; (b) the statistics
+/// partition the windows; (c) they are identical across thread counts; and
+/// (d) the one-chunk run, whose threshold is never looser than a 64-window
+/// chunk's, prunes no later than it does.
+fn check_partitions(query: &[f64], haystack: &[f64], window: usize, radius: usize) {
+    let brute = SubsequenceSearch::new(window, radius)
+        .run_brute_force(query, haystack)
+        .unwrap();
+    let mut per_chunk = Vec::new();
+    for chunk in CHUNK_SIZES {
+        let mut reference: Option<SearchStats> = None;
+        for threads in [1, 3] {
+            let engine = BatchEngine::serial()
+                .with_threads(threads)
+                .with_chunk_size(chunk);
+            let (m, stats) = SubsequenceSearch::new(window, radius)
+                .with_engine(engine)
+                .run(query, haystack)
+                .unwrap();
+            let at = format!("chunk {chunk}, {threads} threads");
+            assert_eq!(
+                (m.offset, m.distance.to_bits()),
+                (brute.offset, brute.distance.to_bits()),
+                "{at}: match differs from brute force"
+            );
+            assert_eq!(
+                stats.windows,
+                stats.pruned_by_prefilter
+                    + stats.pruned_by_kim
+                    + stats.pruned_by_keogh
+                    + stats.abandoned_early
+                    + stats.full_computations,
+                "{at}: stats must partition the windows: {stats:?}"
+            );
+            assert_eq!(stats.windows, haystack.len() - window + 1, "{at}");
+            match reference {
+                None => reference = Some(stats),
+                Some(r) => assert_eq!(stats, r, "{at}: stats depend on threads"),
+            }
+        }
+        per_chunk.push((chunk, reference.expect("two thread counts ran")));
+    }
+    let of = |size| per_chunk.iter().find(|(c, _)| *c == size).unwrap().1;
+    let (chunked, one) = (of(64), of(usize::MAX));
+    let cumulative = |s: SearchStats| {
+        [
+            s.pruned_by_kim,
+            s.pruned_by_kim + s.pruned_by_keogh,
+            s.pruned_by_kim + s.pruned_by_keogh + s.abandoned_early,
+        ]
+    };
+    for (a, b) in cumulative(one).into_iter().zip(cumulative(chunked)) {
+        assert!(a >= b, "one chunk pruned later: {one:?} vs {chunked:?}");
+    }
+    assert!(
+        one.full_computations <= chunked.full_computations,
+        "one chunk computed more: {one:?} vs {chunked:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn partitions_on_random_walks(case in search_case(Shape::Walk)) {
+        let (query, haystack, window, radius) = case;
+        check_partitions(&query, &haystack, window, radius);
+    }
+
+    #[test]
+    fn partitions_on_plateaus(case in search_case(Shape::Plateaus)) {
+        let (query, haystack, window, radius) = case;
+        check_partitions(&query, &haystack, window, radius);
+    }
+
+    #[test]
+    fn partitions_at_huge_magnitudes(case in search_case(Shape::Huge)) {
+        let (query, haystack, window, radius) = case;
+        check_partitions(&query, &haystack, window, radius);
+    }
+}
+
+/// Constant series: every window ties every other, at every chunk size.
+#[test]
+fn partitions_on_constant_series() {
+    for (q, h) in [(1.0, 0.0), (0.0, 0.0), (-3.5, 2.0)] {
+        for window in [2, 5, 9] {
+            for radius in [0, 1, 3] {
+                check_partitions(&vec![q; window], &vec![h; 150], window, radius);
             }
         }
     }

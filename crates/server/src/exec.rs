@@ -14,7 +14,11 @@
 //!   [`rank_and_vote`], so the answer is bitwise
 //!   `KnnClassifier::classify`'s;
 //! * `search` → a single item that runs the full pruned subsequence
-//!   search serially inside one worker.
+//!   search serially inside one worker, as **one chunk**
+//!   (`BatchEngine::serial().with_chunk_size(usize::MAX)`): the
+//!   best-so-far tightens across the whole haystack. The match is bitwise
+//!   `SubsequenceSearch::run`'s at any chunk size; the `SearchStats` the
+//!   item reports (and `/metrics` exports) are the one-chunk partition.
 //!
 //! kNN and search parallelize across concurrent requests, not within one,
 //! so a coalesced batch never oversubscribes the host. Admission and the
@@ -444,8 +448,10 @@ pub fn execute_item_routed(
             window,
             band,
         } => {
-            // Serial engine: the item already runs on an engine worker.
-            let search = SubsequenceSearch::new(*window, *band).with_engine(BatchEngine::serial());
+            // Serial engine: the item already runs on an engine worker. One
+            // chunk: the best-so-far tightens across the whole haystack.
+            let search = SubsequenceSearch::new(*window, *band)
+                .with_engine(BatchEngine::serial().with_chunk_size(usize::MAX));
             let outcome = search
                 .run(query, haystack)
                 .map(|(m, stats)| ItemOutcome::Match {

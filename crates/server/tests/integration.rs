@@ -1035,6 +1035,73 @@ fn cascade_partitions_are_exported_as_metrics() {
     server.shutdown_and_join();
 }
 
+/// A random walk from a small xorshift generator, for inputs with the
+/// overlap structure of real traces.
+fn random_walk(len: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut level = 0.0;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            level += (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            level
+        })
+        .collect()
+}
+
+/// A served search runs as one chunk: its best-so-far tightens across the
+/// whole haystack. On a fresh query, where the LB_Kim scout misses the
+/// match, that partition differs from the library's default chunking, yet
+/// the reply stays bitwise the library's match and `/metrics` reports the
+/// one-chunk partition.
+#[test]
+fn served_search_runs_as_one_running_best_chunk() {
+    use mda_distance::lower_bounds::lb_kim;
+
+    let (window, band) = (64, 4);
+    let haystack = random_walk(4096, 11);
+    let query = random_walk(window, 12);
+    let run = |chunk: usize| {
+        SubsequenceSearch::new(window, band)
+            .with_engine(BatchEngine::serial().with_chunk_size(chunk))
+            .run(&query, &haystack)
+            .expect("direct search")
+    };
+    let (chunked_match, chunked) = run(64);
+    let (direct, one) = run(usize::MAX);
+    assert_eq!(chunked_match, direct, "chunking never changes the match");
+    assert_ne!(one, chunked, "the running best must prune differently");
+    let scout = (0..=haystack.len() - window)
+        .min_by(|&a, &b| {
+            let kim = |off: usize| lb_kim(&query, &haystack[off..off + window]).unwrap();
+            kim(a).total_cmp(&kim(b))
+        })
+        .unwrap();
+    assert_ne!(scout, direct.offset, "the scout must miss the match");
+
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let served = client
+        .query_search(&query, &haystack, 0, window, band, &QueryOptions::new())
+        .expect("search")
+        .value;
+    assert_eq!(served.offset, direct.offset);
+    assert_eq!(served.distance.to_bits(), direct.distance.to_bits());
+
+    let text = client.metrics_text().expect("metrics");
+    for (stage, count) in [
+        ("pruned_kim", one.pruned_by_kim),
+        ("pruned_keogh", one.pruned_by_keogh),
+        ("abandoned", one.abandoned_early),
+        ("full_dtw", one.full_computations),
+    ] {
+        assert_eq!(cascade_counter(&text, "search", stage), count, "{stage}");
+    }
+    server.shutdown_and_join();
+}
+
 #[test]
 fn live_subscriptions_deliver_gap_free_differential_events() {
     use mda_distance::znorm;
