@@ -1,5 +1,5 @@
 //! DP-kernel and pruning-cascade bench: the reworked wavefront kernels and
-//! cached-envelope UCR cascade against the frozen pre-rework baselines in
+//! Lemire-envelope UCR cascade against the frozen pre-rework baselines in
 //! [`mda_bench::kernels_baseline`].
 //!
 //! Three gates, all serial (one simulated accelerator host core):
@@ -30,7 +30,6 @@ use mda_bench::Table;
 use mda_distance::mining::{
     banded_dtw_knn, Classified, KnnClassifier, KnnStats, SearchStats, SubsequenceSearch,
 };
-use mda_distance::quantized::QuantizedDtw;
 use mda_distance::{Band, BatchEngine, DpScratch, Dtw, EditDistance, Lcs};
 
 fn wave(i: usize, k: f64, amp: f64) -> f64 {
@@ -163,7 +162,7 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
     let band_cells = (Band::SakoeChiba(banded_r).active_cells(len, len) * pairs) as u64;
     let banded = Dtw::new().with_band(Band::SakoeChiba(banded_r));
     let mut scratch = DpScratch::new();
-    let mut rows = vec![
+    let rows = vec![
         timed_row(
             "dtw_full",
             cells,
@@ -265,21 +264,6 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
             &mut mismatches,
         ),
     ];
-
-    // Quantized opt-in path (i16 codes, f32 accumulation). No bitwise gate
-    // — its contract is the behavioural bound, tested in mda-conformance —
-    // so it reports throughput only, against the exact full-band baseline.
-    let (t_quant, _) = best_of_3(|| {
-        let qd = QuantizedDtw::paper_reference();
-        inputs.iter().map(|(p, q)| qd.distance(p, q).unwrap()).sum()
-    });
-    rows.push(KernelRow {
-        name: "dtw_quantized",
-        cells,
-        baseline_ns_per_cell: rows[0].baseline_ns_per_cell,
-        new_ns_per_cell: t_quant * 1e9 / cells as f64,
-        identical: true,
-    });
 
     (rows, mismatches)
 }

@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use mda_bench::Table;
-use mda_distance::lower_bounds::{cascading_dtw_with, envelope, PruneDecision};
+use mda_distance::lower_bounds::{envelope, Cascade, PruneDecision};
 use mda_distance::{znorm, DpScratch};
 use mda_streaming::{
     certified_bound, check_series, replay, PruneFrameStats, ReplayConfig, ReplayOutcome,
@@ -146,14 +146,16 @@ impl SpeedRow {
 
 /// One push of the naive baseline: the batch paths over the current
 /// window, the way a stateless batch-API client would serve a push-mode
-/// answer — fresh allocations, a cold scratch, and (no carried state) no
-/// pruning certificate, so the full banded DTW runs at threshold ∞.
+/// answer — fresh allocations, a fresh cascade and cold scratch, and (no
+/// carried state) no pruning certificate, so the full banded DTW runs at
+/// threshold ∞.
 fn naive_push(query: &[f64], win: &[f64], band: usize) -> f64 {
     let z = znorm::z_normalized(win);
     std::hint::black_box(&z);
     let env = envelope(win, band).expect("band <= window");
     std::hint::black_box(&env);
-    match cascading_dtw_with(query, win, band, f64::INFINITY, &mut DpScratch::new())
+    match Cascade::new(query, band)
+        .decide(win, f64::INFINITY, &mut DpScratch::new())
         .expect("equal lengths")
     {
         PruneDecision::Computed(d) => d,

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::error::DistanceError;
-use crate::scratch::DpScratch;
 
 /// Default number of items per chunk. Chosen so per-chunk overhead (an atomic
 /// fetch-add and a vec append) is negligible against even the cheapest kernel
@@ -43,7 +42,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 64;
 ///
 /// let engine = BatchEngine::new().with_threads(4);
 /// let squares: Vec<usize> = engine
-///     .try_map(&[1usize, 2, 3, 4], |_, &x| Ok::<_, ()>(x * x))
+///     .try_map_with(&[1usize, 2, 3, 4], || (), |(), _, &x| Ok::<_, ()>(x * x))
 ///     .unwrap();
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
@@ -235,40 +234,10 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Runs `f` once per fixed-size chunk of `items` and returns the
-    /// concatenated per-chunk outputs in item order.
-    ///
-    /// `f` receives `(state, chunk_start_index, chunk_items)` and returns one
-    /// output per chunk item; see [`Self::try_map_ranges`] for the chunking
-    /// and per-worker state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing chunk (within a chunk,
-    /// `f` decides; the drivers short-circuit at the first failing item).
-    pub fn try_map_chunks<S, T, R, E, I, F>(&self, items: &[T], init: I, f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &[T]) -> Result<Vec<R>, E> + Sync,
-    {
-        let mut chunks = self.try_map_ranges(items.len(), init, |state, range| {
-            f(state, range.start, &items[range])
-        })?;
-        if chunks.len() == 1 {
-            return Ok(chunks.swap_remove(0));
-        }
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
-    /// Maps `f` over every item with a per-worker state value, returning
-    /// outputs in item order.
+    /// Maps `f` over every item with a per-worker state value (from `init`,
+    /// e.g. `DpScratch::new`), returning outputs in item order. `f`
+    /// receives `(state, item_index, item)`; see [`Self::try_map_ranges`]
+    /// for the chunking.
     ///
     /// # Errors
     ///
@@ -281,44 +250,19 @@ impl BatchEngine {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
     {
-        self.try_map_chunks(items, init, |state, start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(k, item)| f(state, start + k, item))
-                .collect()
-        })
-    }
-
-    /// Maps a stateless `f` over every item, returning outputs in item order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed item's error.
-    pub fn try_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        self.try_map_with(items, || (), |(), i, item| f(i, item))
-    }
-
-    /// Maps `f` over every item with a per-worker [`DpScratch`] — the shape
-    /// every DP-kernel batch uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed item's error.
-    pub fn try_map_scratch<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&mut DpScratch, usize, &T) -> Result<R, E> + Sync,
-    {
-        self.try_map_with(items, DpScratch::new, f)
+        let mut chunks = self.try_map_ranges(items.len(), init, |state, range| {
+            range
+                .map(|i| f(state, i, &items[i]))
+                .collect::<Result<Vec<R>, E>>()
+        })?;
+        if chunks.len() == 1 {
+            return Ok(chunks.swap_remove(0));
+        }
+        let mut out = Vec::with_capacity(items.len());
+        for chunk in chunks {
+            out.extend(chunk);
+        }
+        Ok(out)
     }
 }
 
@@ -355,7 +299,7 @@ mod tests {
         let items: Vec<usize> = (0..1000).collect();
         let engine = BatchEngine::new().with_threads(8).with_chunk_size(7);
         let out: Vec<usize> = engine
-            .try_map(&items, |i, &x| Ok::<_, ()>(i * 1000 + x))
+            .try_map_with(&items, || (), |(), i, &x| Ok::<_, ()>(i * 1000 + x))
             .unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 1000 + i);
@@ -365,12 +309,14 @@ mod tests {
     #[test]
     fn identical_across_thread_counts() {
         let items: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin()).collect();
-        let kernel = |_: usize, x: &f64| Ok::<f64, ()>(x * 1.0000001 + 0.25);
-        let one = BatchEngine::serial().try_map(&items, kernel).unwrap();
+        let kernel = |_: &mut (), _: usize, x: &f64| Ok::<f64, ()>(x * 1.0000001 + 0.25);
+        let one = BatchEngine::serial()
+            .try_map_with(&items, || (), kernel)
+            .unwrap();
         for threads in [2, 3, 8] {
             let many = BatchEngine::new()
                 .with_threads(threads)
-                .try_map(&items, kernel)
+                .try_map_with(&items, || (), kernel)
                 .unwrap();
             assert_eq!(one, many, "thread count {threads} changed results");
         }
@@ -382,9 +328,10 @@ mod tests {
         let engine = BatchEngine::new().with_threads(4).with_chunk_size(16);
         // Items 37 and 251 fail; the serial loop would report 37 first.
         let err = engine
-            .try_map(
+            .try_map_with(
                 &items,
-                |_, &x| {
+                || (),
+                |(), _, &x| {
                     if x == 37 || x == 251 {
                         Err(x)
                     } else {
@@ -427,26 +374,9 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         let out: Vec<usize> = BatchEngine::new()
-            .try_map(&[] as &[usize], |_, &x| Ok::<_, ()>(x))
+            .try_map_with(&[] as &[usize], || (), |(), _, &x| Ok::<_, ()>(x))
             .unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn chunk_callback_sees_fixed_boundaries() {
-        let items: Vec<usize> = (0..100).collect();
-        let engine = BatchEngine::serial().with_chunk_size(32);
-        let starts: Vec<usize> = engine
-            .try_map_chunks(
-                &items,
-                || (),
-                |(), start, chunk| Ok::<_, ()>(vec![start; chunk.len()]),
-            )
-            .unwrap();
-        assert_eq!(starts[0], 0);
-        assert_eq!(starts[31], 0);
-        assert_eq!(starts[32], 32);
-        assert_eq!(starts[99], 96);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod lower_bounds;
 pub mod manhattan;
 pub mod matrix;
 pub mod mining;
-pub mod quantized;
 pub mod scratch;
 pub(crate) mod validate;
 pub mod weights;

@@ -9,11 +9,12 @@
 //! Both are *admissible*: they never exceed the true banded DTW distance, so
 //! a search can safely prune any candidate whose bound already exceeds the
 //! best-so-far. Envelopes are computed in O(n) with Lemire's monotonic-deque
-//! streaming min/max (independent of the band radius), and
-//! [`cascading_dtw_with`] caches the query envelope inside [`DpScratch`] so a
-//! scan evaluating thousands of candidates against one query envelopes it
-//! exactly once. The `kernels` and `lower_bounds` benches measure the pruning
-//! power that the paper's CPU baseline relies on.
+//! streaming min/max (independent of the band radius). [`Cascade`] is the
+//! UCR pipeline for one query: built once per (query, radius), it owns the
+//! query's envelope, so a scan evaluating thousands of candidates against
+//! one query envelopes it exactly once. The `kernels` and `lower_bounds`
+//! benches measure the pruning power that the paper's CPU baseline relies
+//! on.
 
 use std::collections::VecDeque;
 
@@ -123,8 +124,8 @@ pub fn envelope(q: &[f64], r: usize) -> Result<(Vec<f64>, Vec<f64>), DistanceErr
 /// The LB_Keogh sum for `p` against a precomputed envelope: the L1 cost of
 /// the parts of `p` that fall outside `[lower[i], upper[i]]`.
 ///
-/// This is the inner loop shared by [`lb_keogh`] and the cascaded search
-/// path, split out so callers with a cached envelope skip the envelope pass.
+/// This is the inner loop shared by [`lb_keogh`] and [`Cascade`], split
+/// out so callers that already hold an envelope skip the envelope pass.
 pub fn lb_keogh_envelope(p: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
     p.iter()
         .zip(upper.iter().zip(lower))
@@ -162,39 +163,6 @@ pub fn lb_keogh(p: &[f64], q: &[f64], r: usize) -> Result<f64, DistanceError> {
     }
     let (upper, lower) = envelope(q, r)?;
     Ok(lb_keogh_envelope(p, &upper, &lower))
-}
-
-/// Ensures the scratch's cached query envelope describes exactly `q` at band
-/// radius `r`, rebuilding it (two O(n) Lemire passes) only on a cache miss.
-/// The cache key is the bitwise contents of `q` plus `r`, so reuse across
-/// thousands of search windows costs one slice compare per call.
-///
-/// # Errors
-///
-/// Returns [`DistanceError::EmptySequence`] if `q` is empty.
-pub(crate) fn ensure_query_envelope(
-    scratch: &mut DpScratch,
-    q: &[f64],
-    r: usize,
-) -> Result<(), DistanceError> {
-    if q.is_empty() {
-        return Err(DistanceError::EmptySequence);
-    }
-    if scratch.query_envelope_matches(q, r) {
-        return Ok(());
-    }
-    scratch.qe_valid = false;
-    scratch.qe_upper.clear();
-    scratch.qe_upper.resize(q.len(), 0.0);
-    scratch.qe_lower.clear();
-    scratch.qe_lower.resize(q.len(), 0.0);
-    lemire_pass(q, r, &mut scratch.qe_upper, &mut scratch.deque, true);
-    lemire_pass(q, r, &mut scratch.qe_lower, &mut scratch.deque, false);
-    scratch.qe_key.clear();
-    scratch.qe_key.extend_from_slice(q);
-    scratch.qe_radius = r;
-    scratch.qe_valid = true;
-    Ok(())
 }
 
 /// The element [`lemire_pass`] selects for a window: the *latest*
@@ -295,57 +263,6 @@ impl SlidingExtremum {
     }
 }
 
-/// [`cascading_dtw_with`] for callers that already hold the candidate's
-/// envelope — the streaming tier maintains it incrementally with
-/// [`SlidingExtremum`] deques as the window slides, replacing the per-call
-/// Lemire pass of layer 3. When `cand_upper`/`cand_lower` are bitwise
-/// equal to `envelope(q, r)` (which the incremental maintenance
-/// guarantees), the returned decision is bitwise identical to
-/// [`cascading_dtw_with`].
-///
-/// # Errors
-///
-/// [`DistanceError::LengthMismatch`] if the envelope length differs from
-/// `q`, plus everything [`cascading_dtw`] can return.
-pub fn cascading_dtw_with_candidate_envelope(
-    p: &[f64],
-    q: &[f64],
-    r: usize,
-    best_so_far: f64,
-    cand_upper: &[f64],
-    cand_lower: &[f64],
-    scratch: &mut DpScratch,
-) -> Result<PruneDecision, DistanceError> {
-    if cand_upper.len() != q.len() || cand_lower.len() != q.len() {
-        return Err(DistanceError::LengthMismatch {
-            left: cand_upper.len().min(cand_lower.len()),
-            right: q.len(),
-        });
-    }
-    let kim = lb_kim(p, q)?;
-    if kim > best_so_far {
-        return Ok(PruneDecision::PrunedByKim(kim));
-    }
-    if p.len() == q.len() {
-        ensure_query_envelope(scratch, p, r)?;
-        let keogh_q = lb_keogh_envelope(q, &scratch.qe_upper, &scratch.qe_lower);
-        if keogh_q > best_so_far {
-            return Ok(PruneDecision::PrunedByKeogh(keogh_q));
-        }
-        let keogh_c = lb_keogh_envelope(p, cand_upper, cand_lower);
-        if keogh_c > best_so_far {
-            return Ok(PruneDecision::PrunedByKeogh(keogh_c));
-        }
-    }
-    match Dtw::new()
-        .with_band(Band::SakoeChiba(r))
-        .distance_early_abandon_with(p, q, best_so_far, scratch)?
-    {
-        Some(d) => Ok(PruneDecision::Computed(d)),
-        None => Ok(PruneDecision::AbandonedEarly),
-    }
-}
-
 /// Result of a cascading lower-bound test against a pruning threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruneDecision {
@@ -382,6 +299,9 @@ impl PruneDecision {
 /// early-abandoning banded DTW — the UCR-suite pipeline the paper's related
 /// work (and its CPU baseline) uses for subsequence search.
 ///
+/// One-shot form of [`Cascade::decide`]; scans over many candidates build
+/// the [`Cascade`] once instead.
+///
 /// # Errors
 ///
 /// Propagates errors from the bounds or the DTW computation.
@@ -391,63 +311,151 @@ pub fn cascading_dtw(
     r: usize,
     best_so_far: f64,
 ) -> Result<PruneDecision, DistanceError> {
-    cascading_dtw_with(p, q, r, best_so_far, &mut DpScratch::new())
+    Cascade::new(p, r).decide(q, best_so_far, &mut DpScratch::new())
 }
 
-/// [`cascading_dtw`] with caller-provided DP scratch rows, so a search loop
-/// (or a [`crate::batch::BatchEngine`] worker) evaluating many candidates
-/// allocates its DP rows once rather than per pair.
-///
-/// The first argument `p` is treated as the *stable query* of the cascade:
-/// its envelope is cached inside `scratch` (keyed bitwise on contents and
-/// radius), so repeated calls with the same `p` — the shape of every mining
-/// driver — envelope it once. Per equal-length candidate the cascade is
+/// The UCR cascade for one query at one band radius: built once, it owns
+/// the query's Lemire envelope, and [`decide`](Self::decide) runs every
+/// candidate through
 ///
 /// 1. LB_Kim — O(1);
-/// 2. LB_Keogh of the candidate against the cached query envelope — O(n),
-///    no envelope pass;
-/// 3. LB_Keogh of the query against the candidate's envelope — O(n) with a
-///    fresh Lemire pass, only reached when layer 2 fails to prune;
+/// 2. LB_Keogh of the candidate against the query envelope — O(n), no
+///    envelope pass;
+/// 3. LB_Keogh of the query against the candidate's envelope — O(n), only
+///    reached when layer 2 fails to prune;
 /// 4. early-abandoning banded DTW.
 ///
-/// # Errors
+/// Layers 2 and 3 need equal lengths and are skipped otherwise. Every
+/// bound is admissible, so a candidate whose DTW is at most the threshold
+/// always reaches layer 4 and comes back [`PruneDecision::Computed`].
 ///
-/// Same as [`cascading_dtw`].
-pub fn cascading_dtw_with(
-    p: &[f64],
-    q: &[f64],
-    r: usize,
-    best_so_far: f64,
-    scratch: &mut DpScratch,
-) -> Result<PruneDecision, DistanceError> {
-    let kim = lb_kim(p, q)?;
-    if kim > best_so_far {
-        return Ok(PruneDecision::PrunedByKim(kim));
-    }
-    if p.len() == q.len() {
-        ensure_query_envelope(scratch, p, r)?;
-        let keogh_q = lb_keogh_envelope(q, &scratch.qe_upper, &scratch.qe_lower);
-        if keogh_q > best_so_far {
-            return Ok(PruneDecision::PrunedByKeogh(keogh_q));
+/// ```
+/// use mda_distance::lower_bounds::{Cascade, PruneDecision};
+/// use mda_distance::DpScratch;
+/// # fn main() -> Result<(), mda_distance::DistanceError> {
+/// let cascade = Cascade::new(&[0.0, 1.0, 0.0, 1.0], 1);
+/// let mut scratch = DpScratch::new();
+/// let near = cascade.decide(&[0.0, 0.9, 0.1, 1.0], 5.0, &mut scratch)?;
+/// let far = cascade.decide(&[9.0, 9.0, 9.0, 9.0], 5.0, &mut scratch)?;
+/// assert!(matches!(near, PruneDecision::Computed(_)));
+/// assert!(matches!(far, PruneDecision::PrunedByKim(_)));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Cascade {
+    query: Vec<f64>,
+    radius: usize,
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+}
+
+impl Cascade {
+    /// The cascade for `query` at Sakoe–Chiba radius `radius`; envelopes
+    /// the query (two O(n) Lemire passes). An empty query is accepted
+    /// here and rejected by every [`decide`](Self::decide).
+    pub fn new(query: &[f64], radius: usize) -> Self {
+        let (mut upper, mut lower) = (Vec::new(), Vec::new());
+        envelope_into(query, radius, &mut upper, &mut lower, &mut Vec::new());
+        Cascade {
+            query: query.to_vec(),
+            radius,
+            upper,
+            lower,
         }
-        envelope_into(
-            q,
-            r,
-            &mut scratch.ce_upper,
-            &mut scratch.ce_lower,
-            &mut scratch.deque,
-        );
-        let keogh_c = lb_keogh_envelope(p, &scratch.ce_upper, &scratch.ce_lower);
-        if keogh_c > best_so_far {
-            return Ok(PruneDecision::PrunedByKeogh(keogh_c));
-        }
     }
-    match Dtw::new()
-        .with_band(Band::SakoeChiba(r))
-        .distance_early_abandon_with(p, q, best_so_far, scratch)?
-    {
-        Some(d) => Ok(PruneDecision::Computed(d)),
-        None => Ok(PruneDecision::AbandonedEarly),
+
+    /// The query this cascade was built for.
+    pub fn query(&self) -> &[f64] {
+        &self.query
+    }
+
+    /// Runs `candidate` through the cascade against `best_so_far`,
+    /// computing the candidate envelope of layer 3 into `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// [`DistanceError::EmptySequence`] if the query or the candidate is
+    /// empty, and any error of the banded DTW.
+    pub fn decide(
+        &self,
+        candidate: &[f64],
+        best_so_far: f64,
+        scratch: &mut DpScratch,
+    ) -> Result<PruneDecision, DistanceError> {
+        self.run(candidate, best_so_far, None, scratch)
+    }
+
+    /// [`decide`](Self::decide) for callers that already hold the
+    /// candidate's envelope — the streaming tier maintains it
+    /// incrementally with [`SlidingExtremum`] deques as the window slides.
+    /// When `upper`/`lower` are bitwise `envelope(candidate, radius)`, the
+    /// decision is bitwise [`decide`](Self::decide)'s.
+    ///
+    /// # Errors
+    ///
+    /// [`DistanceError::LengthMismatch`] if the envelope length differs
+    /// from the candidate's, plus everything [`decide`](Self::decide) can
+    /// return.
+    pub fn decide_with_envelope(
+        &self,
+        candidate: &[f64],
+        best_so_far: f64,
+        upper: &[f64],
+        lower: &[f64],
+        scratch: &mut DpScratch,
+    ) -> Result<PruneDecision, DistanceError> {
+        if upper.len() != candidate.len() || lower.len() != candidate.len() {
+            return Err(DistanceError::LengthMismatch {
+                left: upper.len().min(lower.len()),
+                right: candidate.len(),
+            });
+        }
+        self.run(candidate, best_so_far, Some((upper, lower)), scratch)
+    }
+
+    /// The one decision body; `supplied` is the candidate envelope, or
+    /// `None` to compute it into `scratch`.
+    fn run(
+        &self,
+        candidate: &[f64],
+        best_so_far: f64,
+        supplied: Option<(&[f64], &[f64])>,
+        scratch: &mut DpScratch,
+    ) -> Result<PruneDecision, DistanceError> {
+        let kim = lb_kim(&self.query, candidate)?;
+        if kim > best_so_far {
+            return Ok(PruneDecision::PrunedByKim(kim));
+        }
+        if self.query.len() == candidate.len() {
+            let keogh_q = lb_keogh_envelope(candidate, &self.upper, &self.lower);
+            if keogh_q > best_so_far {
+                return Ok(PruneDecision::PrunedByKeogh(keogh_q));
+            }
+            let keogh_c = match supplied {
+                Some((upper, lower)) => lb_keogh_envelope(&self.query, upper, lower),
+                None => {
+                    envelope_into(
+                        candidate,
+                        self.radius,
+                        &mut scratch.ce_upper,
+                        &mut scratch.ce_lower,
+                        &mut scratch.deque,
+                    );
+                    lb_keogh_envelope(&self.query, &scratch.ce_upper, &scratch.ce_lower)
+                }
+            };
+            if keogh_c > best_so_far {
+                return Ok(PruneDecision::PrunedByKeogh(keogh_c));
+            }
+        }
+        match Dtw::new()
+            .with_band(Band::SakoeChiba(self.radius))
+            .distance_early_abandon_with(&self.query, candidate, best_so_far, scratch)?
+        {
+            Some(d) => Ok(PruneDecision::Computed(d)),
+            None => Ok(PruneDecision::AbandonedEarly),
+        }
     }
 }
 
@@ -596,25 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_reuses_cached_query_envelope() {
-        let p: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).sin()).collect();
-        let q: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).cos()).collect();
-        let mut scratch = DpScratch::new();
-        let a = cascading_dtw_with(&p, &q, 3, f64::INFINITY, &mut scratch).unwrap();
-        assert!(scratch.query_envelope_matches(&p, 3));
-        // Second call with the same query hits the cache and must agree
-        // with a cold-scratch evaluation.
-        let b = cascading_dtw_with(&p, &q, 3, f64::INFINITY, &mut scratch).unwrap();
-        let cold = cascading_dtw(&p, &q, 3, f64::INFINITY).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, cold);
-        // A different radius invalidates the cache.
-        cascading_dtw_with(&p, &q, 5, f64::INFINITY, &mut scratch).unwrap();
-        assert!(scratch.query_envelope_matches(&p, 5));
-        assert!(!scratch.query_envelope_matches(&p, 3));
-    }
-
-    #[test]
     fn sliding_extremum_matches_batch_envelope_interior() {
         // With span = 2r + 1, the deque read after pushing index c + r is
         // exactly the batch envelope entry centred at c, bit for bit —
@@ -658,32 +647,80 @@ mod tests {
         }
     }
 
+    /// Bits of a decision: variant and value.
+    fn decision_bits(d: PruneDecision) -> (u8, u64) {
+        match d {
+            PruneDecision::PrunedByKim(v) => (0, v.to_bits()),
+            PruneDecision::PrunedByKeogh(v) => (1, v.to_bits()),
+            PruneDecision::AbandonedEarly => (2, 0),
+            PruneDecision::Computed(v) => (3, v.to_bits()),
+        }
+    }
+
+    /// Query/candidate pairs of length 24: phase-shifted sines, random
+    /// walks, plateaus with `0.0`/`-0.0` ties, and constants.
+    fn cascade_inputs() -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut walk = move || {
+            let mut x = 0.0;
+            (0..24)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    x += (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    x
+                })
+                .collect::<Vec<f64>>()
+        };
+        let plateau = |k: usize| -> Vec<f64> {
+            (0..24)
+                .map(|i| match (i / k) % 3 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => 1.5,
+                })
+                .collect()
+        };
+        let mut inputs: Vec<(Vec<f64>, Vec<f64>)> = (0..12)
+            .map(|phase| {
+                let p = (0..24)
+                    .map(|i| (i as f64 * 0.35 + phase as f64).sin() * 2.0)
+                    .collect();
+                let q = (0..24)
+                    .map(|i| (i as f64 * 0.33 + phase as f64 * 0.5).cos() * 1.5)
+                    .collect();
+                (p, q)
+            })
+            .collect();
+        for _ in 0..4 {
+            inputs.push((walk(), walk()));
+        }
+        inputs.push((plateau(2), plateau(3)));
+        inputs.push((plateau(4), plateau(4)));
+        inputs.push((vec![2.0; 24], vec![2.0; 24]));
+        inputs.push((vec![2.0; 24], vec![-1.0; 24]));
+        inputs
+    }
+
     #[test]
-    fn candidate_envelope_cascade_matches_plain_cascade() {
+    fn supplied_candidate_envelope_decides_like_computed_one() {
         let mut scratch_a = DpScratch::new();
         let mut scratch_b = DpScratch::new();
-        for phase in 0..12 {
-            let p: Vec<f64> = (0..24)
-                .map(|i| (i as f64 * 0.35 + phase as f64).sin() * 2.0)
-                .collect();
-            let q: Vec<f64> = (0..24)
-                .map(|i| (i as f64 * 0.33 + phase as f64 * 0.5).cos() * 1.5)
-                .collect();
+        for (case, (p, q)) in cascade_inputs().iter().enumerate() {
             for r in [0usize, 1, 3, 6] {
-                for best in [0.1, 2.0, 25.0, f64::INFINITY] {
-                    let (cu, cl) = envelope(&q, r).unwrap();
-                    let with_env = cascading_dtw_with_candidate_envelope(
-                        &p,
-                        &q,
-                        r,
-                        best,
-                        &cu,
-                        &cl,
-                        &mut scratch_a,
-                    )
-                    .unwrap();
-                    let plain = cascading_dtw_with(&p, &q, r, best, &mut scratch_b).unwrap();
-                    assert_eq!(with_env, plain, "phase={phase} r={r} best={best}");
+                let cascade = Cascade::new(p, r);
+                let (cu, cl) = envelope(q, r).unwrap();
+                for best in [0.0, 0.1, 2.0, 25.0, 72.0, f64::INFINITY] {
+                    let supplied = cascade
+                        .decide_with_envelope(q, best, &cu, &cl, &mut scratch_a)
+                        .unwrap();
+                    let computed = cascade.decide(q, best, &mut scratch_b).unwrap();
+                    assert_eq!(
+                        decision_bits(supplied),
+                        decision_bits(computed),
+                        "case={case} r={r} best={best}"
+                    );
                 }
             }
         }
@@ -691,19 +728,24 @@ mod tests {
 
     #[test]
     fn candidate_envelope_length_mismatch_is_typed() {
-        let p = [0.0, 1.0];
-        let q = [0.0, 2.0];
-        let err = cascading_dtw_with_candidate_envelope(
-            &p,
-            &q,
-            1,
-            f64::INFINITY,
-            &[0.0],
-            &[0.0],
-            &mut DpScratch::new(),
-        )
-        .unwrap_err();
+        let err = Cascade::new(&[0.0, 1.0], 1)
+            .decide_with_envelope(
+                &[0.0, 2.0],
+                f64::INFINITY,
+                &[0.0],
+                &[0.0],
+                &mut DpScratch::new(),
+            )
+            .unwrap_err();
         assert!(matches!(err, DistanceError::LengthMismatch { .. }));
+    }
+
+    #[test]
+    fn empty_query_fails_in_lb_kim() {
+        let err = Cascade::new(&[], 2)
+            .decide(&[1.0], f64::INFINITY, &mut DpScratch::new())
+            .unwrap_err();
+        assert_eq!(err, DistanceError::EmptySequence);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::batch::BatchEngine;
 use crate::error::DistanceError;
+use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
 use crate::Distance;
 
@@ -100,15 +101,18 @@ impl KMedoids {
         let pairs: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
             .collect();
-        let values = self.engine.try_map_scratch(&pairs, |scratch, _, &(i, j)| {
-            let raw = self
-                .distance
-                .evaluate_with(&series[i], &series[j], scratch)?;
-            // `0.0 - raw` (not `-raw`) so a zero similarity negates to +0.0;
-            // `total_cmp` orders -0.0 below +0.0, which would otherwise
-            // perturb tie-breaking against the matrix's +0.0 diagonal.
-            Ok(if invert { 0.0 - raw } else { raw })
-        })?;
+        let values = self
+            .engine
+            .try_map_with(&pairs, DpScratch::new, |scratch, _, &(i, j)| {
+                let raw = self
+                    .distance
+                    .evaluate_with(&series[i], &series[j], scratch)?;
+                // `0.0 - raw` (not `-raw`) so a zero similarity negates to
+                // +0.0; `total_cmp` orders -0.0 below +0.0, which would
+                // otherwise perturb tie-breaking against the matrix's +0.0
+                // diagonal.
+                Ok(if invert { 0.0 - raw } else { raw })
+            })?;
         let mut m = vec![vec![0.0; n]; n];
         for (&(i, j), d) in pairs.iter().zip(values) {
             m[i][j] = d;

@@ -10,7 +10,7 @@ use std::collections::BinaryHeap;
 use crate::batch::BatchEngine;
 use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
-use crate::lower_bounds::{ensure_query_envelope, lb_keogh_envelope, lb_kim};
+use crate::lower_bounds::{envelope, lb_keogh_envelope, lb_kim};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
@@ -170,9 +170,8 @@ pub fn banded_dtw_knn<S: AsRef<[f64]>>(
             best.pop();
         }
     };
-    if !query.is_empty() {
-        ensure_query_envelope(scratch, query, radius)?;
-    }
+    // An empty query has no envelope and never reaches the LB_Keogh arm.
+    let (upper, lower) = envelope(query, radius).unwrap_or_default();
     let query_max = max_abs(query);
     let mut order: Vec<(f64, usize)> = Vec::with_capacity(train.len());
     for (i, s) in train.iter().enumerate() {
@@ -187,10 +186,7 @@ pub fn banded_dtw_knn<S: AsRef<[f64]>>(
             stats.full_computations += 1;
             record(&mut best, d);
         } else if m == n {
-            order.push((
-                lb_keogh_envelope(s, &scratch.qe_upper, &scratch.qe_lower),
-                i,
-            ));
+            order.push((lb_keogh_envelope(s, &upper, &lower), i));
         } else {
             order.push((lb_kim(query, s)?, i));
         }
@@ -368,7 +364,7 @@ impl KnnClassifier {
         // order `rank_and_vote` breaks score ties by.
         let raw = self
             .engine
-            .try_map_scratch(&self.train, |scratch, idx, inst| {
+            .try_map_with(&self.train, DpScratch::new, |scratch, idx, inst| {
                 if idx >= head {
                     if let Some(p) = &predicate {
                         if !p.admit(&inst.series) {
@@ -403,21 +399,23 @@ impl KnnClassifier {
         let invert = self.distance.is_similarity();
         // One work item per held-out query; each worker scans the full train
         // set serially (deterministic strict-< argmin, ties to lowest index).
-        let hits = self.engine.try_map_scratch(&self.train, |scratch, qi, q| {
-            let mut best: Option<(usize, f64)> = None;
-            for (ti, t) in self.train.iter().enumerate() {
-                if ti == qi {
-                    continue;
+        let hits = self
+            .engine
+            .try_map_with(&self.train, DpScratch::new, |scratch, qi, q| {
+                let mut best: Option<(usize, f64)> = None;
+                for (ti, t) in self.train.iter().enumerate() {
+                    if ti == qi {
+                        continue;
+                    }
+                    let raw = self.distance.evaluate_with(&q.series, &t.series, scratch)?;
+                    let score = if invert { 0.0 - raw } else { raw };
+                    if best.is_none_or(|(_, b)| score < b) {
+                        best = Some((ti, score));
+                    }
                 }
-                let raw = self.distance.evaluate_with(&q.series, &t.series, scratch)?;
-                let score = if invert { 0.0 - raw } else { raw };
-                if best.is_none_or(|(_, b)| score < b) {
-                    best = Some((ti, score));
-                }
-            }
-            let (bi, _) = best.expect("at least one other instance");
-            Ok(usize::from(self.train[bi].label == q.label))
-        })?;
+                let (bi, _) = best.expect("at least one other instance");
+                Ok(usize::from(self.train[bi].label == q.label))
+            })?;
         let correct: usize = hits.iter().sum();
         Ok(correct as f64 / self.train.len() as f64)
     }

@@ -5,12 +5,13 @@
 //! series: the primitive behind frequent-pattern mining on time series.
 //! The classic brute-force algorithm compares all O(n²) window pairs; the
 //! pruned variant rejects candidates with the cascading DTW lower bounds,
-//! and both must return identical answers (tested below).
+//! and both must return identical answers (tested below and in
+//! `tests/motif_props.rs`).
 
 use crate::batch::BatchEngine;
 use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
-use crate::lower_bounds::{cascading_dtw_with, lb_kim, PruneDecision};
+use crate::lower_bounds::{lb_kim, Cascade, PruneDecision};
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
 
@@ -25,7 +26,9 @@ pub struct Motif {
     pub distance: f64,
 }
 
-/// Statistics from a pruned motif search.
+/// Statistics from a pruned motif search. Like
+/// [`SearchStats`](crate::mining::SearchStats) they are tallied per engine
+/// chunk, so they depend on the chunk size but never on the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MotifStats {
     /// Window pairs considered.
@@ -100,37 +103,11 @@ impl MotifDiscovery {
         self
     }
 
-    fn offsets(&self, n: usize) -> Vec<usize> {
-        (0..=(n - self.window)).step_by(self.stride).collect()
-    }
-
-    /// Finds the motif with cascading lower-bound pruning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistanceError::InvalidParameter`] if the series cannot hold
-    /// two non-overlapping windows.
-    pub fn find(&self, xs: &[f64]) -> Result<Motif, DistanceError> {
-        Ok(self.find_with_stats(xs)?.0)
-    }
-
-    /// Finds the motif, also returning pruning statistics.
-    ///
-    /// The pair batch runs in three deterministic stages on the engine:
-    ///
-    /// 1. a **scout pass** computes the O(1) LB_Kim of every pair and picks
-    ///    the most promising one (smallest bound, ties to lowest pair index);
-    /// 2. the scout pair's full banded DTW becomes a fixed pruning threshold
-    ///    every chunk starts from (tightened chunk-locally as better pairs
-    ///    are computed), so prune decisions depend only on the chunk
-    ///    contents — never on thread scheduling;
-    /// 3. an ordered reduction takes the minimum computed distance, ties
-    ///    broken by the lowest pair index, exactly like the serial scan.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MotifDiscovery::find`].
-    pub fn find_with_stats(&self, xs: &[f64]) -> Result<(Motif, MotifStats), DistanceError> {
+    /// The one input check of both drivers: rejects a series that cannot
+    /// hold two non-overlapping windows or that holds a NaN or infinity.
+    /// Returns the window count (window `i` starts at `i * stride`) and the
+    /// index gap: windows `i < j` overlap unless `j >= i + gap`.
+    fn grid(&self, xs: &[f64]) -> Result<(usize, usize), DistanceError> {
         if xs.len() < 2 * self.window {
             return Err(DistanceError::InvalidParameter {
                 name: "series",
@@ -142,101 +119,131 @@ impl MotifDiscovery {
             });
         }
         ensure_finite("series", xs)?;
-        let offsets = self.offsets(xs.len());
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (ai, &a) in offsets.iter().enumerate() {
-            for &b in &offsets[ai + 1..] {
-                if b >= a + self.window {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        let mut stats = MotifStats {
-            pairs: pairs.len(),
-            ..MotifStats::default()
-        };
-        let mut best = Motif {
+        Ok((
+            (xs.len() - self.window) / self.stride + 1,
+            self.window.div_ceil(self.stride),
+        ))
+    }
+
+    /// The placeholder every scan starts from.
+    fn no_motif(&self) -> Motif {
+        Motif {
             first: 0,
             second: self.window,
             distance: f64::INFINITY,
-        };
-        if pairs.is_empty() {
-            return Ok((best, stats));
         }
-        let win = |o: usize| &xs[o..o + self.window];
+    }
 
-        // Stage 1: scout. LB_Kim is admissible, so the pair with the
-        // smallest bound is the best guess at the motif.
-        let kims = self
-            .engine
-            .try_map(&pairs, |_, &(a, b)| lb_kim(win(a), win(b)))?;
-        let scout = kims
-            .iter()
-            .enumerate()
-            .min_by(|x, y| x.1.total_cmp(y.1))
-            .map(|(i, _)| i)
-            .expect("at least one pair");
-        let (sa, sb) = pairs[scout];
-        let best_ub = Dtw::new()
-            .with_band(Band::SakoeChiba(self.band_radius))
-            .distance(win(sa), win(sb))?;
+    /// Finds the motif with cascading lower-bound pruning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistanceError::InvalidParameter`] if the series cannot hold
+    /// two non-overlapping windows or contains a NaN or infinity.
+    pub fn find(&self, xs: &[f64]) -> Result<Motif, DistanceError> {
+        Ok(self.find_with_stats(xs)?.0)
+    }
 
-        // Stage 2: cascade every pair against the fixed scout threshold,
-        // tightening chunk-locally. The true motif always survives: its
-        // distance is <= every threshold the cascade can hold.
-        let decisions =
-            self.engine
-                .try_map_chunks(&pairs, DpScratch::new, |scratch, _, chunk| {
-                    let mut local_best = best_ub;
-                    chunk
-                        .iter()
-                        .map(|&(a, b)| {
-                            let decision = if (a, b) == (sa, sb) {
-                                // The scout pair's full DTW is the stage-1
-                                // threshold; reusing it guarantees stage 3
-                                // always sees at least one `Computed`
-                                // decision, so the returned motif is real.
-                                PruneDecision::Computed(best_ub)
-                            } else {
-                                cascading_dtw_with(
-                                    win(a),
-                                    win(b),
-                                    self.band_radius,
-                                    local_best,
-                                    scratch,
-                                )?
-                            };
-                            if let PruneDecision::Computed(d) = decision {
-                                if d < local_best {
-                                    local_best = d;
-                                }
-                            }
-                            Ok(decision)
-                        })
-                        .collect()
-                })?;
+    /// Finds the motif, also returning pruning statistics.
+    ///
+    /// A serial O(1)-per-pair LB_Kim **scout pass** picks the most
+    /// promising pair (first minimum in pair order); its full banded DTW
+    /// is the starting pruning threshold. Then one fused scan per engine
+    /// chunk of first windows builds one [`Cascade`] per first window, runs
+    /// every later non-overlapping window through it and folds the
+    /// decisions into a `(MotifStats, Motif)` partial, tightening the
+    /// threshold as it goes. The partials reduce in chunk order, ties to
+    /// the lowest pair, exactly like the brute-force scan. No pair list is
+    /// built.
+    ///
+    /// Chunk boundaries depend only on the engine's chunk size, so motif
+    /// and statistics are identical for every thread count; the motif is
+    /// the same at every chunk size, only the statistics shift.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MotifDiscovery::find`].
+    pub fn find_with_stats(&self, xs: &[f64]) -> Result<(Motif, MotifStats), DistanceError> {
+        let (count, gap) = self.grid(xs)?;
+        let win = |i: usize| &xs[i * self.stride..i * self.stride + self.window];
+        // Only these first windows have a later non-overlapping partner.
+        let firsts = count.saturating_sub(gap);
 
-        // Stage 3: ordered reduction. The scout pair is always `Computed`,
-        // so `best` is never the infinite placeholder on return.
-        for (&(a, b), decision) in pairs.iter().zip(decisions) {
-            match decision {
-                PruneDecision::PrunedByKim(_)
-                | PruneDecision::PrunedByKeogh(_)
-                | PruneDecision::AbandonedEarly => {
-                    stats.pruned += 1;
-                }
-                PruneDecision::Computed(d) => {
-                    stats.full_computations += 1;
-                    if d < best.distance {
-                        best = Motif {
-                            first: a,
-                            second: b,
-                            distance: d,
-                        };
-                    }
+        // Scout: LB_Kim is admissible, so the pair with the smallest bound
+        // is the best guess at the motif (first minimum on ties).
+        let mut scout: Option<((usize, usize), f64)> = None;
+        for i in 0..firsts {
+            for j in i + gap..count {
+                let kim = lb_kim(win(i), win(j))?;
+                if scout.is_none_or(|(_, best)| kim.total_cmp(&best).is_lt()) {
+                    scout = Some(((i, j), kim));
                 }
             }
         }
+        let Some((scout, _)) = scout else {
+            return Ok((self.no_motif(), MotifStats::default()));
+        };
+        let best_ub = Dtw::new()
+            .with_band(Band::SakoeChiba(self.band_radius))
+            .distance(win(scout.0), win(scout.1))?;
+
+        // Fused scan: every chunk starts from the scout threshold and
+        // tightens it pair by pair. The true motif always survives: its
+        // distance is <= every threshold the scan can hold.
+        let partials = self
+            .engine
+            .try_map_ranges(firsts, DpScratch::new, |scratch, range| {
+                let mut stats = MotifStats::default();
+                let mut best = self.no_motif();
+                let mut threshold = best_ub;
+                for i in range {
+                    let cascade = Cascade::new(win(i), self.band_radius);
+                    stats.pairs += count - gap - i;
+                    for j in i + gap..count {
+                        let d = if (i, j) == scout {
+                            // The scout's full DTW is already known. Reusing
+                            // it (instead of cascading, which a tightened
+                            // threshold could abandon) guarantees at least
+                            // one computed pair, so the motif is real.
+                            best_ub
+                        } else {
+                            match cascade.decide(win(j), threshold, scratch)? {
+                                PruneDecision::Computed(d) => d,
+                                _ => {
+                                    stats.pruned += 1;
+                                    continue;
+                                }
+                            }
+                        };
+                        stats.full_computations += 1;
+                        if d < threshold {
+                            threshold = d;
+                        }
+                        if d < best.distance {
+                            best = Motif {
+                                first: i * self.stride,
+                                second: j * self.stride,
+                                distance: d,
+                            };
+                        }
+                    }
+                }
+                Ok((stats, best))
+            })?;
+
+        // Ordered reduction. The scout pair is always computed, so `best`
+        // is never the infinite placeholder on return.
+        let mut stats = MotifStats::default();
+        let mut best = self.no_motif();
+        for (part, m) in partials {
+            stats.pairs += part.pairs;
+            stats.pruned += part.pruned;
+            stats.full_computations += part.full_computations;
+            if m.distance < best.distance {
+                best = m;
+            }
+        }
+        debug_assert!(best.distance.is_finite(), "scout pair must be computed");
         Ok((best, stats))
     }
 
@@ -247,34 +254,17 @@ impl MotifDiscovery {
     ///
     /// Same as [`MotifDiscovery::find`].
     pub fn find_brute_force(&self, xs: &[f64]) -> Result<Motif, DistanceError> {
-        if xs.len() < 2 * self.window {
-            return Err(DistanceError::InvalidParameter {
-                name: "series",
-                reason: format!(
-                    "need at least two non-overlapping windows of {}, got length {}",
-                    self.window,
-                    xs.len()
-                ),
-            });
-        }
-        ensure_finite("series", xs)?;
+        let (count, gap) = self.grid(xs)?;
+        let win = |i: usize| &xs[i * self.stride..i * self.stride + self.window];
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
-        let offsets = self.offsets(xs.len());
-        let mut best = Motif {
-            first: 0,
-            second: self.window,
-            distance: f64::INFINITY,
-        };
-        for (ai, &a) in offsets.iter().enumerate() {
-            for &b in &offsets[ai + 1..] {
-                if b < a + self.window {
-                    continue;
-                }
-                let d = dtw.distance(&xs[a..a + self.window], &xs[b..b + self.window])?;
+        let mut best = self.no_motif();
+        for i in 0..count {
+            for j in i + gap..count {
+                let d = dtw.distance(win(i), win(j))?;
                 if d < best.distance {
                     best = Motif {
-                        first: a,
-                        second: b,
+                        first: i * self.stride,
+                        second: j * self.stride,
                         distance: d,
                     };
                 }

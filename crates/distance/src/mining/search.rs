@@ -192,6 +192,29 @@ impl SubsequenceSearch {
         }
     }
 
+    /// The one input check of both drivers: rejects a haystack shorter
+    /// than the window and any NaN or infinity (query first), then returns
+    /// the query as compared — z-normalized if enabled.
+    fn prepared_query(&self, query: &[f64], haystack: &[f64]) -> Result<Vec<f64>, DistanceError> {
+        if haystack.len() < self.window {
+            return Err(DistanceError::InvalidParameter {
+                name: "haystack",
+                reason: format!(
+                    "haystack length {} shorter than window {}",
+                    haystack.len(),
+                    self.window
+                ),
+            });
+        }
+        ensure_finite("query", query)?;
+        ensure_finite("haystack", haystack)?;
+        Ok(if self.z_normalize {
+            z_normalized(query)
+        } else {
+            query.to_vec()
+        })
+    }
+
     /// Runs the search, returning the best match and pruning statistics.
     ///
     /// An O(1)-per-window LB_Kim **scout pass** picks the most promising
@@ -219,23 +242,7 @@ impl SubsequenceSearch {
         query: &[f64],
         haystack: &[f64],
     ) -> Result<(Match, SearchStats), DistanceError> {
-        if haystack.len() < self.window {
-            return Err(DistanceError::InvalidParameter {
-                name: "haystack",
-                reason: format!(
-                    "haystack length {} shorter than window {}",
-                    haystack.len(),
-                    self.window
-                ),
-            });
-        }
-        ensure_finite("query", query)?;
-        ensure_finite("haystack", haystack)?;
-        let query: Vec<f64> = if self.z_normalize {
-            z_normalized(query)
-        } else {
-            query.to_vec()
-        };
+        let query = self.prepared_query(query, haystack)?;
         let windows = haystack.len() - self.window + 1;
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
 
@@ -378,24 +385,8 @@ impl SubsequenceSearch {
     ///
     /// Same as [`SubsequenceSearch::run`].
     pub fn run_brute_force(&self, query: &[f64], haystack: &[f64]) -> Result<Match, DistanceError> {
-        if haystack.len() < self.window {
-            return Err(DistanceError::InvalidParameter {
-                name: "haystack",
-                reason: format!(
-                    "haystack length {} shorter than window {}",
-                    haystack.len(),
-                    self.window
-                ),
-            });
-        }
-        ensure_finite("query", query)?;
-        ensure_finite("haystack", haystack)?;
+        let query_owned = self.prepared_query(query, haystack)?;
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
-        let query_owned: Vec<f64> = if self.z_normalize {
-            z_normalized(query)
-        } else {
-            query.to_vec()
-        };
         let mut best = Match {
             offset: 0,
             distance: f64::INFINITY,

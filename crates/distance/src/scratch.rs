@@ -12,12 +12,10 @@
 //!   DP rows,
 //! * a reversed copy of the second series, so wavefront kernels read both
 //!   series forward along an anti-diagonal,
-//! * the **cached query envelope** of the UCR pruning cascade: the upper and
-//!   lower Sakoe–Chiba envelope of the query is computed once (O(n), Lemire's
-//!   monotonic deque) and revalidated with a cheap bitwise compare, so a
-//!   cascade evaluating thousands of candidates against one query never
-//!   re-envelopes it,
-//! * candidate-envelope and deque buffers for the O(n) envelope pass itself.
+//! * candidate-envelope and deque buffers for the O(n) Lemire envelope pass
+//!   of the UCR pruning cascade. The query's envelope is not here: a
+//!   [`Cascade`](crate::lower_bounds::Cascade) owns it, built once per
+//!   query.
 
 /// Reusable DP buffer set shared by the kernels and the pruning cascade.
 ///
@@ -42,13 +40,6 @@ pub struct DpScratch {
     pub(crate) diag: Vec<f64>,
     /// Reversed copy of the second series for wavefront kernels.
     pub(crate) rev: Vec<f64>,
-    /// Cached query envelope: upper/lower bounds, the query it was built
-    /// from (bitwise key) and the band radius it was built for.
-    pub(crate) qe_upper: Vec<f64>,
-    pub(crate) qe_lower: Vec<f64>,
-    pub(crate) qe_key: Vec<f64>,
-    pub(crate) qe_radius: usize,
-    pub(crate) qe_valid: bool,
     /// Candidate envelope buffers (recomputed per candidate, reused).
     pub(crate) ce_upper: Vec<f64>,
     pub(crate) ce_lower: Vec<f64>,
@@ -99,25 +90,6 @@ impl DpScratch {
         self.rev.clear();
         self.rev.extend(q.iter().rev());
         ([&mut self.prev, &mut self.curr, &mut self.diag], &self.rev)
-    }
-
-    /// `true` when the cached query envelope was built from exactly this
-    /// query (bitwise) at exactly this band radius.
-    pub(crate) fn query_envelope_matches(&self, q: &[f64], r: usize) -> bool {
-        self.qe_valid
-            && self.qe_radius == r
-            && self.qe_key.len() == q.len()
-            && self
-                .qe_key
-                .iter()
-                .zip(q)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
-    /// Invalidates the cached query envelope (e.g. after the buffers were
-    /// borrowed for something else).
-    pub fn invalidate_envelope_cache(&mut self) {
-        self.qe_valid = false;
     }
 
     /// Current row capacity (elements held without reallocating).
@@ -174,20 +146,5 @@ mod tests {
         assert!(d0.iter().all(|v| v.is_infinite()));
         assert!(d1.iter().all(|v| v.is_infinite()));
         assert!(d2.iter().all(|v| v.is_infinite()));
-    }
-
-    #[test]
-    fn envelope_cache_matches_bitwise() {
-        let mut s = DpScratch::new();
-        assert!(!s.query_envelope_matches(&[1.0, 2.0], 2));
-        s.qe_key = vec![1.0, 2.0];
-        s.qe_radius = 2;
-        s.qe_valid = true;
-        assert!(s.query_envelope_matches(&[1.0, 2.0], 2));
-        assert!(!s.query_envelope_matches(&[1.0, 2.0], 3), "radius mismatch");
-        assert!(!s.query_envelope_matches(&[1.0, 2.5], 2), "value mismatch");
-        assert!(!s.query_envelope_matches(&[1.0], 2), "length mismatch");
-        s.invalidate_envelope_cache();
-        assert!(!s.query_envelope_matches(&[1.0, 2.0], 2));
     }
 }

@@ -8,7 +8,7 @@ use mda_core::accelerator::FunctionParams;
 use mda_core::bounds::{acam, behavioural, spice, Bound};
 use mda_core::{pe, AcceleratorConfig, DistanceAccelerator};
 use mda_distance::dtw::Band;
-use mda_distance::lower_bounds::cascading_dtw_with;
+use mda_distance::lower_bounds::Cascade;
 use mda_distance::{
     Distance, DistanceKind, DpScratch, Dtw, EditDistance, Hamming, Hausdorff, Lcs, Manhattan,
 };
@@ -115,7 +115,7 @@ impl DistanceBackend for DigitalPrunedBackend {
         let r = req.band.unwrap_or_else(|| p.len().max(q.len()));
         // With no best-so-far nothing can prune, so the cascade always
         // reaches the DP and carries a computed value.
-        let decision = cascading_dtw_with(p, q, r, f64::INFINITY, scratch)?;
+        let decision = Cascade::new(p, r).decide(q, f64::INFINITY, scratch)?;
         Ok(decision.value())
     }
 }

@@ -9,7 +9,7 @@
 //! streaming tier: the conformance harness's `streaming_differential`
 //! layer and the `streaming` bench's fatal identity gate both call it.
 
-use mda_distance::lower_bounds::{cascading_dtw_with, envelope, PruneDecision};
+use mda_distance::lower_bounds::{envelope, Cascade, PruneDecision};
 use mda_distance::{znorm, DpScratch};
 
 use crate::error::StreamError;
@@ -231,7 +231,8 @@ pub fn check_series(
         }
 
         // Matcher: replay the cascade from scratch with the reference
-        // fold's threshold and a cold scratch (query envelope rebuilt).
+        // fold's threshold, a fresh cascade (query envelope rebuilt) and a
+        // cold scratch.
         let Some(Value::Match(mf)) = result.matcher.value() else {
             return Err(mismatch(epoch, "matcher", "non-match frame".into()));
         };
@@ -249,14 +250,9 @@ pub fn check_series(
                 ),
             ));
         }
-        let decision_ref = cascading_dtw_with(
-            &config.query,
-            window_ref,
-            config.band,
-            pruning,
-            &mut DpScratch::new(),
-        )
-        .map_err(StreamError::from)?;
+        let decision_ref = Cascade::new(&config.query, config.band)
+            .decide(window_ref, pruning, &mut DpScratch::new())
+            .map_err(StreamError::from)?;
         if !decision_eq(mf.decision, decision_ref) {
             return Err(mismatch(
                 epoch,

@@ -8,16 +8,14 @@
 //! current window — bitwise, because each operator either feeds the exact
 //! batch code path with the same bytes (z-normalization) or maintains
 //! state that is provably bit-identical to the batch result (Lemire
-//! envelopes via [`SlidingExtremum`], the UCR cascade via the cached
-//! query envelope + maintained candidate envelope). The gate is enforced
+//! envelopes via [`SlidingExtremum`], the UCR cascade via a [`Cascade`]
+//! built once for the query + maintained candidate envelope). The gate is enforced
 //! by [`crate::differential`], property tests, and the conformance
 //! harness's `streaming_differential` layer.
 
 use std::sync::Arc;
 
-use mda_distance::lower_bounds::{
-    cascading_dtw_with_candidate_envelope, slice_extremum, PruneDecision, SlidingExtremum,
-};
+use mda_distance::lower_bounds::{slice_extremum, Cascade, PruneDecision, SlidingExtremum};
 use mda_distance::{znorm, DpScratch};
 
 use crate::error::StreamError;
@@ -394,16 +392,16 @@ impl Operator for EnvelopeOp {
 
 /// Online subsequence matcher: the UCR cascade against a fixed query.
 ///
-/// Carries the query envelope (cached bitwise inside its [`DpScratch`]),
-/// the incrementally maintained candidate envelope (parent node), and the
+/// Carries the query's [`Cascade`] (query envelope built once, in
+/// [`MatcherOp::new`]), the incrementally maintained candidate envelope
+/// (parent node), and the
 /// best-so-far pruning threshold across pushes. The expensive banded DTW
 /// re-runs only when the new point invalidates the pruning certificate —
 /// when the window's lower bounds fall below the carried threshold; every
 /// other push settles in the O(1)/O(w) bound layers.
 #[derive(Debug)]
 pub struct MatcherOp {
-    query: Vec<f64>,
-    radius: usize,
+    cascade: Cascade,
     threshold: f64,
     scratch: DpScratch,
     best: Option<BestMatch>,
@@ -415,8 +413,7 @@ impl MatcherOp {
     /// until a best-so-far forms).
     pub fn new(query: Vec<f64>, radius: usize, threshold: Option<f64>) -> Self {
         MatcherOp {
-            query,
-            radius,
+            cascade: Cascade::new(&query, radius),
             threshold: threshold.unwrap_or(f64::INFINITY),
             scratch: DpScratch::new(),
             best: None,
@@ -435,7 +432,7 @@ impl Operator for MatcherOp {
     }
 
     fn burn_in(&self) -> u64 {
-        self.query.len() as u64
+        self.cascade.query().len() as u64
     }
 
     fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
@@ -454,10 +451,8 @@ impl Operator for MatcherOp {
         let pruning = self
             .threshold
             .min(self.best.map_or(f64::INFINITY, |b| b.distance));
-        let decision = cascading_dtw_with_candidate_envelope(
-            &self.query,
+        let decision = self.cascade.decide_with_envelope(
             &window.points,
-            self.radius,
             pruning,
             &env.upper,
             &env.lower,
