@@ -19,6 +19,11 @@
 //!    match is identity-gated too).
 //! 3. **Search speedup (fatal)** — end-to-end subsequence search must be
 //!    ≥ 2× faster than the pre-rework path on the standard workload.
+//! 4. **Analog settle (identity fatal)** — the behavioural analog engine's
+//!    trace-free `settle` on a re-programmed tape, Hausdorff and DTW at
+//!    length 32, in ns per node-step beside the trace-recording
+//!    `simulate`. Both must reproduce the golden fixture
+//!    (`crates/core/tests/data/analog_golden.txt`) bit for bit.
 //!
 //! Writes `results/BENCH_kernels.json`. `--quick` shrinks the workload for
 //! CI; the identity and speedup gates stay fatal in both modes.
@@ -27,6 +32,9 @@ use std::time::Instant;
 
 use mda_bench::kernels_baseline as baseline;
 use mda_bench::Table;
+use mda_core::analog::graph::builders;
+use mda_core::analog::{AnalogEngine, AnalogGraph, ErrorModel, Tape};
+use mda_core::AcceleratorConfig;
 use mda_distance::mining::{
     banded_dtw_knn, Classified, KnnClassifier, KnnStats, SearchStats, SubsequenceSearch,
 };
@@ -437,6 +445,127 @@ fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, 
     )
 }
 
+/// The golden fixture the analog rows are identity-gated against.
+const ANALOG_GOLDEN: &str = include_str!("../../../core/tests/data/analog_golden.txt");
+
+struct AnalogRow {
+    name: &'static str,
+    nodes: usize,
+    steps: usize,
+    /// `set_inputs` + `settle` on a compiled tape.
+    settle_ns_per_node_step: f64,
+    /// `simulate`: compile, run, record the output trace.
+    simulate_ns_per_node_step: f64,
+    identical: bool,
+}
+
+/// The fixture's inputs at length `len` (see `analog_golden.rs`): a
+/// two-tone wave and a partner that nearly matches on even indices.
+fn golden_inputs(config: &AcceleratorConfig, len: usize) -> (Vec<f64>, Vec<f64>) {
+    let wave = |phase: f64| -> Vec<f64> {
+        (0..len)
+            .map(|i| (i as f64 * 0.4 + phase).sin() * 2.0 + (i as f64 * 0.09).cos() * 0.3)
+            .collect()
+    };
+    let q: Vec<f64> = wave(0.35)
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if i % 2 == 0 { v + 0.07 } else { v - 1.3 })
+        .collect();
+    let volts =
+        |xs: &[f64]| -> Vec<f64> { xs.iter().map(|&x| config.value_to_voltage(x)).collect() };
+    (volts(&wave(0.0)), volts(&q))
+}
+
+/// The fixture line's `(final voltage bits, steps)` for case `name`.
+fn golden(name: &str) -> (u64, usize) {
+    let line = ANALOG_GOLDEN
+        .lines()
+        .find(|l| l.split(' ').next() == Some(name))
+        .unwrap_or_else(|| panic!("golden fixture has no case {name}"));
+    let f: Vec<&str> = line.split(' ').collect();
+    (
+        u64::from_str_radix(f[1], 16).expect("hex bits"),
+        f[2].parse().expect("step count"),
+    )
+}
+
+/// Times `settle` and `simulate` on one golden case; `reps` runs each.
+fn analog_row(
+    name: &'static str,
+    case: &str,
+    build: impl Fn(&[f64], &[f64]) -> AnalogGraph,
+    reps: usize,
+    mismatches: &mut usize,
+) -> AnalogRow {
+    let engine = AnalogEngine::new();
+    let config = AcceleratorConfig::paper_defaults();
+    let (p, q) = golden_inputs(&config, 32);
+    let graph = build(&p, &q);
+    let volts: Vec<f64> = p.iter().chain(&q).copied().collect();
+    // Compiled over other inputs and re-programmed, as a cached tape is.
+    let mut tape = Tape::compile(&build(&q, &p));
+    let want = golden(case);
+    let (t_settle, settle_bits) = best_of_3(|| {
+        let mut last = 0.0;
+        for _ in 0..reps {
+            tape.set_inputs(volts.iter().copied());
+            last = engine.settle(&mut tape).final_voltage;
+        }
+        last
+    });
+    let settled = engine.settle(&mut tape);
+    let (t_sim, sim_bits) = best_of_3(|| {
+        let mut last = 0.0;
+        for _ in 0..reps {
+            last = engine.simulate(&graph).final_voltage;
+        }
+        last
+    });
+    let sim = engine.simulate(&graph);
+    let got = [
+        (settle_bits.to_bits(), settled.steps),
+        (sim_bits.to_bits(), sim.steps),
+    ];
+    let identical = got.iter().all(|&g| g == want);
+    if !identical {
+        eprintln!("IDENTITY MISMATCH: {name}: settle/simulate {got:?} vs golden {want:?}");
+        *mismatches += 1;
+    }
+    let node_steps = (tape.len() * settled.steps * reps) as f64;
+    AnalogRow {
+        name,
+        nodes: tape.len(),
+        steps: settled.steps,
+        settle_ns_per_node_step: t_settle * 1e9 / node_steps,
+        simulate_ns_per_node_step: t_sim * 1e9 / node_steps,
+        identical,
+    }
+}
+
+fn analog_rows(reps: usize) -> (Vec<AnalogRow>, usize) {
+    let config = AcceleratorConfig::paper_defaults();
+    let errors = || ErrorModel::new(config.noise_seed);
+    let mut mismatches = 0;
+    let rows = vec![
+        analog_row(
+            "analog_settle_hausdorff",
+            "hausdorff/32/paper/healthy",
+            |p, q| builders::hausdorff(&config, p, q, 1.0, &mut errors()),
+            reps,
+            &mut mismatches,
+        ),
+        analog_row(
+            "analog_settle_dtw",
+            "dtw/32/full/paper/healthy",
+            |p, q| builders::dtw(&config, p, q, 1.0, Band::Full, &mut errors()),
+            reps,
+            &mut mismatches,
+        ),
+    ];
+    (rows, mismatches)
+}
+
 /// A search's prune partition as one JSON object.
 fn partition_json(s: &SearchStats) -> String {
     format!(
@@ -455,6 +584,7 @@ fn partition_text(s: &SearchStats) -> String {
 
 fn json(
     rows: &[KernelRow],
+    analog: &[AnalogRow],
     search: &SearchRun,
     knn: &KnnRun,
     mismatches: usize,
@@ -483,6 +613,30 @@ fn json(
             r.baseline_ns_per_cell / r.new_ns_per_cell,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"analog_settle\": [\n");
+    for (i, r) in analog.iter().enumerate() {
+        s.push_str(&format!(
+            concat!(
+                "    {{\n",
+                "      \"name\": \"{}\",\n",
+                "      \"length\": 32,\n",
+                "      \"nodes\": {},\n",
+                "      \"steps\": {},\n",
+                "      \"settle_ns_per_node_step\": {:.3},\n",
+                "      \"simulate_ns_per_node_step\": {:.3},\n",
+                "      \"identical\": {}\n",
+                "    }}{}\n",
+            ),
+            r.name,
+            r.nodes,
+            r.steps,
+            r.settle_ns_per_node_step,
+            r.simulate_ns_per_node_step,
+            r.identical,
+            if i + 1 < analog.len() { "," } else { "" },
         ));
     }
     s.push_str("  ],\n");
@@ -556,10 +710,10 @@ fn json(
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (pairs, len, haystack_len, knn_instances) = if quick {
-        (48, 128, 4096, 256)
+    let (pairs, len, haystack_len, knn_instances, analog_reps) = if quick {
+        (48, 128, 4096, 256, 2)
     } else {
-        (128, 128, 16384, 1024)
+        (128, 128, 16384, 1024, 20)
     };
     let window = 128;
     let radius = window / 20; // the paper's 5% band, rounded down to 6
@@ -590,6 +744,26 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+
+    let (analog, analog_mismatches) = analog_rows(analog_reps);
+    mismatches += analog_mismatches;
+    let mut table = Table::new([
+        "analog (length 32)",
+        "nodes",
+        "steps",
+        "settle ns/node-step",
+        "simulate ns/node-step",
+    ]);
+    for r in &analog {
+        table.row([
+            r.name.into(),
+            r.nodes.to_string(),
+            r.steps.to_string(),
+            format!("{:.2}", r.settle_ns_per_node_step),
+            format!("{:.2}", r.simulate_ns_per_node_step),
+        ]);
+    }
+    println!("\n{}", table.render());
 
     let (search, search_mismatches) = search_run(haystack_len, window, radius);
     mismatches += search_mismatches;
@@ -632,14 +806,16 @@ fn main() {
         s.full_computations,
     );
 
-    let payload = json(&rows, &search, &knn, mismatches, quick);
+    let payload = json(&rows, &analog, &search, &knn, mismatches, quick);
     std::fs::create_dir_all("results").expect("create results dir");
     let path = "results/BENCH_kernels.json";
     std::fs::write(path, payload).expect("write bench json");
     println!("wrote {path}");
 
     if mismatches > 0 {
-        eprintln!("\n{mismatches} identity mismatch(es) — the rework changed kernel values");
+        eprintln!(
+            "\n{mismatches} identity mismatch(es) — the rework changed kernel or analog values"
+        );
         std::process::exit(1);
     }
     if search_speedup < 2.0 {

@@ -102,7 +102,7 @@ pub fn behavioural(case: &CaseSpec) -> Result<f64, AcceleratorError> {
             band,
         },
     )?;
-    Ok(acc.compute(&case.p, &case.q)?.value)
+    acc.settle(&case.p, &case.q, None)
 }
 
 /// Whether the SPICE layer runs this case, and if not, why not.

@@ -8,8 +8,9 @@ use mda_distance::{
 };
 use mda_spice::Trace;
 
+use crate::analog::cache::{ShapeKey, TapeCache};
 use crate::analog::graph::builders;
-use crate::analog::{AnalogEngine, ErrorModel};
+use crate::analog::{AnalogEngine, AnalogGraph, ErrorModel, Tape};
 use crate::array::Structure;
 use crate::config::AcceleratorConfig;
 use crate::controller::ConfigurationLib;
@@ -175,6 +176,79 @@ impl DistanceAccelerator {
         Ok(v)
     }
 
+    /// The configured function, the digital reference (which also
+    /// validates the shapes) and the DAC-encoded inputs.
+    fn encode_inputs(&self, p: &[f64], q: &[f64]) -> Result<Encoded<'_>, AcceleratorError> {
+        let (kind, params) = self
+            .configured
+            .as_ref()
+            .ok_or(AcceleratorError::NotConfigured)?;
+        // Validate inputs via the digital reference first (shape errors).
+        let reference = Self::reference_distance(*kind, params, p, q)?;
+        Ok(Encoded {
+            kind: *kind,
+            params,
+            reference,
+            p_volts: self.encoder.encode(p)?,
+            q_volts: self.encoder.encode(q)?,
+        })
+    }
+
+    /// The analog graph of the configured function over encoded inputs.
+    fn build_graph(&self, enc: &Encoded<'_>) -> AnalogGraph {
+        let (params, p_volts, q_volts) = (enc.params, &enc.p_volts, &enc.q_volts);
+        let thr_volts = self.config.value_to_voltage(params.threshold);
+        let mut errors = ErrorModel::new(self.config.noise_seed);
+        let uniform = || vec![params.weight; p_volts.len().min(q_volts.len())];
+        match enc.kind {
+            DistanceKind::Dtw => builders::dtw(
+                &self.config,
+                p_volts,
+                q_volts,
+                params.weight,
+                params.band,
+                &mut errors,
+            ),
+            DistanceKind::Lcs => builders::lcs(
+                &self.config,
+                p_volts,
+                q_volts,
+                thr_volts,
+                params.weight,
+                &mut errors,
+            ),
+            DistanceKind::Edit => {
+                builders::edit(&self.config, p_volts, q_volts, thr_volts, &mut errors)
+            }
+            DistanceKind::Hausdorff => {
+                builders::hausdorff(&self.config, p_volts, q_volts, params.weight, &mut errors)
+            }
+            DistanceKind::Hamming => builders::hamming(
+                &self.config,
+                p_volts,
+                q_volts,
+                thr_volts,
+                &uniform(),
+                &mut errors,
+            ),
+            DistanceKind::Manhattan => {
+                builders::manhattan(&self.config, p_volts, q_volts, &uniform(), &mut errors)
+            }
+        }
+    }
+
+    /// ADC read-out and decoding of the settled output voltage.
+    fn decode(&self, kind: DistanceKind, volts: f64) -> f64 {
+        let quantized = self.config.adc.quantize(volts);
+        match kind {
+            // Step-counting functions decode in Vstep units.
+            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming => {
+                quantized / self.config.v_step
+            }
+            _ => self.config.voltage_to_value(quantized),
+        }
+    }
+
     /// Runs one distance computation through the analog model.
     ///
     /// # Errors
@@ -184,71 +258,10 @@ impl DistanceAccelerator {
     /// [`AcceleratorError::Distance`] for inputs the function rejects
     /// (empty, length mismatch).
     pub fn compute(&self, p: &[f64], q: &[f64]) -> Result<AnalogOutcome, AcceleratorError> {
-        let (kind, params) = self
-            .configured
-            .as_ref()
-            .ok_or(AcceleratorError::NotConfigured)?;
-        let kind = *kind;
-        // Validate inputs via the digital reference first (shape errors).
-        let reference = Self::reference_distance(kind, params, p, q)?;
-
-        // DAC encoding.
-        let p_volts = self.encoder.encode(p)?;
-        let q_volts = self.encoder.encode(q)?;
-        let thr_volts = self.config.value_to_voltage(params.threshold);
-
-        let mut errors = ErrorModel::new(self.config.noise_seed);
-        let graph = match kind {
-            DistanceKind::Dtw => builders::dtw(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                params.weight,
-                params.band,
-                &mut errors,
-            ),
-            DistanceKind::Lcs => builders::lcs(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                thr_volts,
-                params.weight,
-                &mut errors,
-            ),
-            DistanceKind::Edit => {
-                builders::edit(&self.config, &p_volts, &q_volts, thr_volts, &mut errors)
-            }
-            DistanceKind::Hausdorff => {
-                builders::hausdorff(&self.config, &p_volts, &q_volts, params.weight, &mut errors)
-            }
-            DistanceKind::Hamming => builders::hamming(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                thr_volts,
-                &vec![params.weight; p.len().min(q.len())],
-                &mut errors,
-            ),
-            DistanceKind::Manhattan => builders::manhattan(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                &vec![params.weight; p.len().min(q.len())],
-                &mut errors,
-            ),
-        };
-
-        let sim = self.engine.simulate(&graph);
-
-        // ADC read-out and decoding.
-        let quantized = self.config.adc.quantize(sim.final_voltage);
-        let value = match kind {
-            // Step-counting functions decode in Vstep units.
-            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming => {
-                quantized / self.config.v_step
-            }
-            _ => self.config.voltage_to_value(quantized),
-        };
+        let enc = self.encode_inputs(p, q)?;
+        let (kind, params, reference) = (enc.kind, enc.params, enc.reference);
+        let sim = self.engine.simulate(&self.build_graph(&enc));
+        let value = self.decode(kind, sim.final_voltage);
 
         let relative_error = if reference.abs() > 1e-12 {
             ((value - reference) / reference).abs()
@@ -278,6 +291,80 @@ impl DistanceAccelerator {
             output_trace: sim.output_trace,
         })
     }
+
+    /// The decoded value of [`Self::compute`] — bitwise — through the
+    /// trace-free [`AnalogEngine::settle`], with the same validation,
+    /// encoding errors, ADC quantization and decoding. With `tapes`, the
+    /// compiled tape of the request's shape is reused and only its input
+    /// sources are re-programmed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tapes` was built for another fabric configuration.
+    pub fn settle(
+        &self,
+        p: &[f64],
+        q: &[f64],
+        tapes: Option<&TapeCache>,
+    ) -> Result<f64, AcceleratorError> {
+        let enc = self.encode_inputs(p, q)?;
+        let compile = || Tape::compile(&self.build_graph(&enc));
+        let volts = || enc.p_volts.iter().chain(&enc.q_volts).copied();
+        let settled = match tapes {
+            None => self.engine.settle(&mut compile()),
+            Some(cache) => {
+                assert!(
+                    cache.config() == &self.config,
+                    "tape cache built for another fabric configuration"
+                );
+                let key = self.shape_key(&enc);
+                let mut tape = cache.check_out(&key, compile);
+                tape.set_inputs(volts());
+                let settled = self.engine.settle(&mut tape);
+                cache.check_in(key, tape);
+                settled
+            }
+        };
+        Ok(self.decode(enc.kind, settled.final_voltage))
+    }
+
+    /// The cache key of a request: what its graph's structure depends on.
+    fn shape_key(&self, enc: &Encoded<'_>) -> ShapeKey {
+        let thresholded = matches!(
+            enc.kind,
+            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming
+        );
+        ShapeKey {
+            kind: enc.kind,
+            m: enc.p_volts.len(),
+            n: enc.q_volts.len(),
+            band: if enc.kind == DistanceKind::Dtw {
+                enc.params.band
+            } else {
+                Band::Full
+            },
+            threshold_bits: if thresholded {
+                self.config.value_to_voltage(enc.params.threshold).to_bits()
+            } else {
+                0
+            },
+            weight_bits: enc.params.weight.to_bits(),
+        }
+    }
+}
+
+/// A validated request: the configured function, its digital reference
+/// and the DAC-encoded inputs.
+struct Encoded<'a> {
+    kind: DistanceKind,
+    params: &'a FunctionParams,
+    reference: f64,
+    p_volts: Vec<f64>,
+    q_volts: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -337,6 +424,68 @@ mod tests {
             );
             assert!(outcome.convergence_time_s > 0.0, "{kind}");
         }
+    }
+
+    #[test]
+    fn settle_matches_compute_bitwise_with_and_without_cache() {
+        let config = AcceleratorConfig::paper_defaults();
+        let tapes = TapeCache::new(config.clone());
+        let cases = [
+            (DistanceKind::Dtw, Band::Full, 6, 6),
+            (DistanceKind::Dtw, Band::SakoeChiba(1), 7, 5),
+            (DistanceKind::Lcs, Band::Full, 5, 6),
+            (DistanceKind::Edit, Band::Full, 4, 6),
+            (DistanceKind::Hausdorff, Band::Full, 7, 3),
+            (DistanceKind::Hamming, Band::Full, 6, 6),
+            (DistanceKind::Manhattan, Band::Full, 6, 6),
+        ];
+        // Rounds over different values: the second hits every shape; the
+        // third changes the threshold, a new shape for LCS/EdD/HamD only.
+        for (round, (phase, threshold)) in
+            [(0.0, 0.5), (0.9, 0.5), (0.4, 0.3)].into_iter().enumerate()
+        {
+            for &(kind, band, m, n) in &cases {
+                let mut acc = DistanceAccelerator::new(config.clone());
+                acc.configure_with(
+                    kind,
+                    FunctionParams {
+                        threshold,
+                        band,
+                        ..FunctionParams::default()
+                    },
+                )
+                .unwrap();
+                let (p, q) = (series(m, phase), series(n, phase + 0.7));
+                let want = acc.compute(&p, &q).unwrap().value.to_bits();
+                assert_eq!(acc.settle(&p, &q, None).unwrap().to_bits(), want, "{kind}");
+                let cached = acc.settle(&p, &q, Some(&tapes)).unwrap();
+                assert_eq!(cached.to_bits(), want, "{kind} round {round}");
+            }
+        }
+        let stats = tapes.stats();
+        assert_eq!((stats.misses, stats.hits), (10, 11));
+        assert_eq!(stats.tapes, 10);
+        assert!(stats.bytes > 0);
+    }
+
+    #[test]
+    fn settle_keeps_compute_errors() {
+        let acc = DistanceAccelerator::new(AcceleratorConfig::paper_defaults());
+        assert!(matches!(
+            acc.settle(&[0.0], &[0.0], None),
+            Err(AcceleratorError::NotConfigured)
+        ));
+        let acc = accelerator(DistanceKind::Manhattan);
+        assert!(matches!(
+            acc.settle(&[0.0], &[0.0, 1.0], None),
+            Err(AcceleratorError::Distance(_))
+        ));
+        let tapes = TapeCache::new(AcceleratorConfig::paper_defaults());
+        assert!(matches!(
+            acc.settle(&[0.0, 1.0e6], &[0.0, 1.0], Some(&tapes)),
+            Err(AcceleratorError::EncodingRange { .. })
+        ));
+        assert_eq!(tapes.stats().misses, 0);
     }
 
     #[test]

@@ -127,6 +127,8 @@ pub(crate) struct Node {
 pub struct AnalogGraph {
     pub(crate) nodes: Vec<Node>,
     output: NodeRef,
+    /// The sources carrying the compared sequences, P then Q.
+    inputs: Vec<NodeRef>,
     vcc: f64,
 }
 
@@ -136,6 +138,7 @@ impl AnalogGraph {
         AnalogGraph {
             nodes: Vec::new(),
             output: NodeRef(0),
+            inputs: Vec::new(),
             vcc,
         }
     }
@@ -203,6 +206,21 @@ impl AnalogGraph {
         self.add_node(NodeOp::Const(volts), Vec::new(), 1.0, 0.0, errors)
     }
 
+    /// A `Const` source carrying one element of a compared sequence: a
+    /// [`Self::source`] that is also listed in [`Self::inputs`].
+    pub fn input(&mut self, volts: f64, errors: &mut ErrorModel) -> NodeRef {
+        let node = self.source(volts, errors);
+        self.inputs.push(node);
+        node
+    }
+
+    /// The input sources in creation order (the builders create P's, then
+    /// Q's). Everything else in a builder graph depends only on the
+    /// sequences' lengths and the function's parameters.
+    pub fn inputs(&self) -> &[NodeRef] {
+        &self.inputs
+    }
+
     /// Injects a stuck-at fault: the node's output is frozen at `volts`
     /// regardless of its inputs — modelling a memristor stuck in HRS/LRS or
     /// a dead op-amp output. Used by the robustness analyses.
@@ -264,8 +282,8 @@ pub mod builders {
         let rc = rc(config);
         let inf = g.source(config.vcc / 2.0, errors);
         let zero = g.source(0.0, errors);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let (m, n) = (p.len(), q.len());
         let mut d = vec![vec![inf; n + 1]; m + 1];
         d[0][0] = zero;
@@ -302,8 +320,8 @@ pub mod builders {
         let rc = rc(config);
         let zero = g.source(0.0, errors);
         let step = g.source(w * config.v_step, errors);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let (m, n) = (p.len(), q.len());
         let mut l = vec![vec![zero; n + 1]; m + 1];
         for i in 1..=m {
@@ -338,8 +356,8 @@ pub mod builders {
         let mut g = AnalogGraph::new(config.vcc);
         let rc = rc(config);
         let step = g.source(config.v_step, errors);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let (m, n) = (p.len(), q.len());
         let mut e = vec![vec![NodeRef(0); n + 1]; m + 1];
         for (j, cell) in e[0].iter_mut().enumerate() {
@@ -381,8 +399,8 @@ pub mod builders {
         let mut g = AnalogGraph::new(config.vcc);
         let rc = rc(config);
         let vcc = g.source(config.vcc, errors);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let mut column_minima = Vec::with_capacity(q.len());
         for &qn in &q {
             // All |P[i] − Q[j]| complements settle in parallel; the running
@@ -417,8 +435,8 @@ pub mod builders {
     ) -> AnalogGraph {
         let mut g = AnalogGraph::new(config.vcc);
         let rc = rc(config);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let contributions: Vec<NodeRef> = p
             .iter()
             .zip(&q)
@@ -456,8 +474,8 @@ pub mod builders {
     ) -> AnalogGraph {
         let mut g = AnalogGraph::new(config.vcc);
         let rc = rc(config);
-        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.source(v, errors)).collect();
-        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.source(v, errors)).collect();
+        let p: Vec<NodeRef> = p_volts.iter().map(|&v| g.input(v, errors)).collect();
+        let q: Vec<NodeRef> = q_volts.iter().map(|&v| g.input(v, errors)).collect();
         let contributions: Vec<NodeRef> = p
             .iter()
             .zip(&q)

@@ -10,15 +10,21 @@
 //! plus a deterministic per-instance offset error (zero drift, diode drop,
 //! finite op-amp gain).
 //!
-//! The [`engine::AnalogEngine`] integrates the resulting ODE network and
-//! measures the paper's convergence time (output within 0.1 % of its final
-//! value) and relative error — reproducing the Fig. 5 methodology at any
-//! sequence length in milliseconds.
+//! The [`engine::AnalogEngine`] compiles the resulting ODE network into a
+//! level-scheduled [`Tape`] and integrates it. `simulate` records the
+//! output waveform and measures the paper's convergence time (output
+//! within 0.1 % of its final value) and relative error — reproducing the
+//! Fig. 5 methodology at any sequence length; the trace-free `settle`
+//! returns bitwise the same final voltage for serving. A [`TapeCache`]
+//! keeps compiled tapes per graph shape so a served request only
+//! re-programs its input sources.
 
+pub mod cache;
 pub mod engine;
 pub mod error_model;
 pub mod graph;
 
-pub use engine::{AnalogEngine, SimulationOutcome};
+pub use cache::{TapeCache, TapeCacheStats, TAPE_CACHE_NODES};
+pub use engine::{AnalogEngine, Settled, SimulationOutcome, Tape};
 pub use error_model::ErrorModel;
 pub use graph::{AnalogGraph, NodeOp, NodeRef};

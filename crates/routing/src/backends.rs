@@ -5,6 +5,7 @@ use std::sync::OnceLock;
 
 use mda_acam::OneShotMatcher;
 use mda_core::accelerator::FunctionParams;
+use mda_core::analog::{TapeCache, TapeCacheStats};
 use mda_core::bounds::{acam, behavioural, spice, Bound};
 use mda_core::{pe, AcceleratorConfig, DistanceAccelerator};
 use mda_distance::dtw::Band;
@@ -121,11 +122,13 @@ impl DistanceBackend for DigitalPrunedBackend {
 }
 
 /// The behavioural (array-level) analog accelerator model with the
-/// paper-default fabric.
+/// paper-default fabric. Answers come from the trace-free settle path on
+/// compiled tapes cached per request shape.
 #[derive(Debug)]
 pub struct AnalogBackend {
     config: AcceleratorConfig,
     budget: PowerBudget,
+    tapes: TapeCache,
 }
 
 impl AnalogBackend {
@@ -133,8 +136,14 @@ impl AnalogBackend {
     pub fn new(config: AcceleratorConfig) -> AnalogBackend {
         AnalogBackend {
             budget: PowerBudget::new(config.clone()),
+            tapes: TapeCache::new(config.clone()),
             config,
         }
+    }
+
+    /// Hit/miss counters and resident size of the tape cache.
+    pub fn tape_stats(&self) -> TapeCacheStats {
+        self.tapes.stats()
     }
 
     /// The fabric's output ceiling in value units: the readout ADC clamps
@@ -189,7 +198,7 @@ impl DistanceBackend for AnalogBackend {
                 },
             },
         )?;
-        Ok(acc.compute(p, q)?.value)
+        Ok(acc.settle(p, q, Some(&self.tapes))?)
     }
 }
 

@@ -33,6 +33,7 @@
 //! [`BatchEngine`]: mda_distance::BatchEngine
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mda_distance::mining::{
     banded_dtw_knn, rank_and_vote, Classified, KnnStats, SearchStats, SubsequenceSearch,
@@ -377,11 +378,25 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
     }
 }
 
+/// What one work item cost its routed backends, for the server's
+/// counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteTally {
+    /// Analog evaluations that silently fell back to a digital recompute
+    /// (counted even when the item fails).
+    pub fallbacks: u64,
+    /// Evaluations routed to the behavioural analog backend.
+    pub analog: u64,
+    /// Wall time the dispatcher spent on the item when it was routed to
+    /// the behavioural analog backend, ns (0 on every other route, which
+    /// is never timed).
+    pub analog_ns: u64,
+}
+
 /// Executes one work item through its routed backend. Returns the
-/// outcome together with the number of analog evaluations that silently
-/// fell back to a digital recompute (counted even when the item fails).
-/// Errors are per-item values — a failing item never aborts the coalesced
-/// batch it shares with other requests.
+/// outcome together with its [`RouteTally`]. Errors are per-item values —
+/// a failing item never aborts the coalesced batch it shares with other
+/// requests.
 ///
 /// Pair items, and the instances of a kNN item off the pruned path,
 /// dispatch through [`evaluate_routed`]: on the default
@@ -390,6 +405,34 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
 /// a direct call — while analog routes carry the saturation/encoding
 /// fallback guard. A kNN item reports its lowest-indexed instance error.
 pub fn execute_item_routed(
+    item: &WorkItem,
+    scratch: &mut DpScratch,
+) -> (Result<ItemOutcome, DistanceError>, RouteTally) {
+    let analog = match item {
+        WorkItem::Pair { spec, .. } if spec.backend == BackendId::Analog => 1,
+        WorkItem::Knn { spec, series, .. } if spec.backend == BackendId::Analog => {
+            series.len() as u64
+        }
+        _ => 0,
+    };
+    let start = (analog > 0).then(Instant::now);
+    let (outcome, fallbacks) = route_item(item, scratch);
+    let analog_ns = start.map_or(0, |s| {
+        u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    });
+    (
+        outcome,
+        RouteTally {
+            fallbacks,
+            analog,
+            analog_ns,
+        },
+    )
+}
+
+/// [`execute_item_routed`] without the timing: the outcome and the
+/// fallback count.
+fn route_item(
     item: &WorkItem,
     scratch: &mut DpScratch,
 ) -> (Result<ItemOutcome, DistanceError>, u64) {
@@ -464,7 +507,7 @@ pub fn execute_item_routed(
     }
 }
 
-/// [`execute_item_routed`] without the fallback count.
+/// [`execute_item_routed`] without the tally.
 pub fn execute_item(
     item: &WorkItem,
     scratch: &mut DpScratch,

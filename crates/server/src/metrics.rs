@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use mda_routing::BackendId;
+use mda_routing::{default_backends, BackendId};
 
 /// Histogram bucket upper bounds, in microseconds (the last bucket is
 /// implicit +inf). Roughly logarithmic from 50 µs to 5 s.
@@ -229,9 +229,12 @@ pub struct Metrics {
     pub conn_wait: Histogram,
     /// End-to-end service latency (enqueue → reply handoff).
     pub latency: Histogram,
-    /// Analog-mode computations served (requests flagged `analog`).
+    /// Evaluations routed to the behavioural analog backend (a kNN item
+    /// counts one per training instance).
     pub analog_computations: Counter,
-    /// Accumulated analog busy time, ns.
+    /// Dispatcher wall time spent on analog-routed work items, ns:
+    /// divided by `analog_computations`, the host cost of one analog
+    /// answer.
     pub analog_busy_ns: Counter,
     /// Routed compute requests, by chosen backend (indexed by
     /// [`BackendId`] discriminant, labels from [`BackendId::ALL`]).
@@ -469,6 +472,13 @@ impl Metrics {
         out.push_str(&format!(
             "mda_analog_busy_seconds {:.9}\n",
             self.analog_busy_ns.get() as f64 * 1.0e-9
+        ));
+        // The analog backend's compiled-tape cache is process-wide, like
+        // the backend set the executor dispatches against.
+        let tapes = default_backends().analog().tape_stats();
+        out.push_str(&format!(
+            "mda_analog_tape_cache_hits_total {}\nmda_analog_tape_cache_misses_total {}\nmda_analog_tape_cache_bytes {}\n",
+            tapes.hits, tapes.misses, tapes.bytes
         ));
         out
     }

@@ -31,7 +31,7 @@ use mda_distance::{BatchEngine, DistanceError, DpScratch};
 use mda_routing::PowerLease;
 
 use crate::event_loop::Completions;
-use crate::exec::{execute_item_routed, Assemble, ItemOutcome, WorkItem};
+use crate::exec::{execute_item_routed, Assemble, ItemOutcome, RouteTally, WorkItem};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, Reply, ResponseBody, RouteInfo};
 
@@ -297,17 +297,19 @@ impl Coalescer {
 
         // Item errors are carried as values, so one bad request can never
         // abort a batch it shares with healthy neighbours.
-        let routed: Vec<(Result<ItemOutcome, DistanceError>, u64)> =
-            match engine.try_map_with(&flat, DpScratch::new, |scratch, _, item| {
+        let routed: Vec<(Result<ItemOutcome, DistanceError>, RouteTally)> = match engine
+            .try_map_with(&flat, DpScratch::new, |scratch, _, item| {
                 Ok::<_, std::convert::Infallible>(execute_item_routed(item, scratch))
             }) {
-                Ok(v) => v,
-                Err(e) => match e {},
-            };
+            Ok(v) => v,
+            Err(e) => match e {},
+        };
         let mut outcomes = Vec::with_capacity(routed.len());
-        let mut fallbacks = 0;
-        for (outcome, item_fallbacks) in routed {
-            fallbacks += item_fallbacks;
+        let mut total = RouteTally::default();
+        for (outcome, tally) in routed {
+            total.fallbacks += tally.fallbacks;
+            total.analog += tally.analog;
+            total.analog_ns += tally.analog_ns;
             match &outcome {
                 Ok(ItemOutcome::Knn { stats: s, .. }) => self.metrics.knn_cascade.record(
                     s.pruned_by_kim,
@@ -325,8 +327,12 @@ impl Coalescer {
             }
             outcomes.push(outcome);
         }
-        if fallbacks > 0 {
-            self.metrics.route_fallbacks.add(fallbacks);
+        if total.fallbacks > 0 {
+            self.metrics.route_fallbacks.add(total.fallbacks);
+        }
+        if total.analog > 0 {
+            self.metrics.analog_computations.add(total.analog);
+            self.metrics.analog_busy_ns.add(total.analog_ns);
         }
 
         let mut offset = 0usize;

@@ -1035,6 +1035,56 @@ fn cascade_partitions_are_exported_as_metrics() {
     server.shutdown_and_join();
 }
 
+/// Value of the unlabelled metric `name`.
+fn metric(text: &str, name: &str) -> f64 {
+    let key = format!("{name} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(key.as_str()))
+        .unwrap_or_else(|| panic!("no `{key}` in:\n{text}"))
+        .parse()
+        .expect("metric value")
+}
+
+#[test]
+fn analog_routed_request_moves_the_analog_counters() {
+    use mda_routing::{default_backends, BackendId, Sla};
+
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let before = client.metrics_text().expect("metrics");
+    assert_eq!(metric(&before, "mda_analog_computations_total"), 0.0);
+
+    // Exact requests are never timed as analog.
+    let (p, q) = (series(16, 3), series(16, 4));
+    client
+        .query_distance(DistanceKind::Hausdorff, &p, &q, &QueryOptions::new())
+        .expect("exact");
+    let text = client.metrics_text().expect("metrics");
+    assert_eq!(metric(&text, "mda_analog_computations_total"), 0.0);
+    assert_eq!(metric(&text, "mda_analog_busy_seconds"), 0.0);
+
+    // The loosest tolerance the analog engine meets at this length.
+    let backends = default_backends();
+    let eps = backends
+        .get(BackendId::Analog)
+        .bound(DistanceKind::Hausdorff, p.len())
+        .margin(backends.analog().ceiling());
+    let opts = QueryOptions::new().accuracy(Sla::tolerance(eps).expect("finite margin"));
+    let reply = client
+        .query_distance(DistanceKind::Hausdorff, &p, &q, &opts)
+        .expect("tolerance request");
+    assert_eq!(reply.route.expect("routed").backend, BackendId::Analog);
+
+    let text = client.metrics_text().expect("metrics");
+    assert_eq!(metric(&text, "mda_analog_computations_total"), 1.0);
+    assert!(metric(&text, "mda_analog_busy_seconds") > 0.0, "{text}");
+    // The process-wide tape cache saw at least this request.
+    let lookups = metric(&text, "mda_analog_tape_cache_hits_total")
+        + metric(&text, "mda_analog_tape_cache_misses_total");
+    assert!(lookups >= 1.0, "{text}");
+    server.shutdown_and_join();
+}
+
 /// A random walk from a small xorshift generator, for inputs with the
 /// overlap structure of real traces.
 fn random_walk(len: usize, seed: u64) -> Vec<f64> {
