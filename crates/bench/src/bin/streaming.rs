@@ -1,4 +1,4 @@
-//! Streaming push-mode bench: the incremental operator DAG of
+//! Streaming push-mode bench: the five-stage incremental pipeline of
 //! `mda-streaming` against a naive per-push batch recompute, plus the
 //! differential identity gate and replay byte-stability.
 //!

@@ -258,7 +258,7 @@ fn check_case(
         }
     }
 
-    // The streaming gate is bitwise: the incremental operator DAG either
+    // The streaming gate is bitwise: the incremental pipeline either
     // reproduces the from-scratch batch recomputation exactly at every
     // push, or the first diverging push is a finding. No margin applies.
     if with_streaming && layers::streaming_eligibility(case).is_ok() {

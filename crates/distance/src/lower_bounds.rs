@@ -165,11 +165,12 @@ pub fn lb_keogh(p: &[f64], q: &[f64], r: usize) -> Result<f64, DistanceError> {
     Ok(lb_keogh_envelope(p, &upper, &lower))
 }
 
-/// The element [`lemire_pass`] selects for a window: the *latest*
-/// occurrence of the extremum. Split out publicly so incremental envelope
-/// maintainers (the streaming tier) can recompute window-clamped border
-/// entries with exactly the deque's tie-breaking — equal values keep the
-/// later index, so `0.0`/`-0.0` ties resolve to the same bits.
+/// The element the Lemire pass behind [`envelope`] selects for a window:
+/// the *latest* occurrence of the extremum. Split out publicly so
+/// incremental envelope maintainers (the streaming tier) can recompute
+/// window-clamped border entries with exactly the deque's tie-breaking —
+/// equal values keep the later index, so `0.0`/`-0.0` ties resolve to the
+/// same bits.
 pub fn slice_extremum(xs: &[f64], max: bool) -> f64 {
     debug_assert!(!xs.is_empty());
     let mut cur = xs[0];

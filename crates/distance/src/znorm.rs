@@ -36,7 +36,37 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (m2 / xs.len() as f64).sqrt()
 }
 
-/// Z-normalizes a series in place: zero mean, unit variance.
+/// Mean and population standard deviation in one Welford pass —
+/// bitwise `(mean(xs), std_dev(xs))`: the running mean takes the same
+/// operations in both folds, so fusing them changes no bit.
+pub fn moments(xs: &[f64]) -> (f64, f64) {
+    if xs.is_empty() {
+        return (0.0, 0.0);
+    }
+    let mut m = 0.0;
+    let mut m2 = 0.0;
+    for (i, &x) in xs.iter().enumerate() {
+        let delta = x - m;
+        m += delta / (i + 1) as f64;
+        m2 += delta * (x - m);
+    }
+    (m, (m2 / xs.len() as f64).sqrt())
+}
+
+/// What [`z_normalize_in_place`] measured: the statistics it normalized
+/// with and whether the degenerate rule zeroed the series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ZStats {
+    /// Bitwise [`mean`] of the input.
+    pub mean: f64,
+    /// Bitwise [`std_dev`] of the input.
+    pub std_dev: f64,
+    /// `true` when the series was mapped to all zeros.
+    pub degenerate: bool,
+}
+
+/// Z-normalizes a series in place: zero mean, unit variance. Returns
+/// the statistics used, so callers that report them need no second fold.
 ///
 /// Degenerate inputs never produce `NaN`/`Inf`:
 ///
@@ -49,22 +79,24 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// * if the statistics themselves are not finite (e.g. a series mixing
 ///   `±f64::MAX`, whose variance is unrepresentable), the series maps to
 ///   zeros rather than propagating `Inf`.
-pub fn z_normalize_in_place(xs: &mut [f64]) {
-    if xs.is_empty() {
-        return;
-    }
-    // Bitwise-constant fast path: exact at any magnitude.
-    let first = xs[0].to_bits();
-    if xs.iter().all(|x| x.to_bits() == first) {
-        xs.iter_mut().for_each(|x| *x = 0.0);
-        return;
-    }
-    let m = mean(xs);
-    let s = std_dev(xs);
-    if !m.is_finite() || !s.is_finite() || s <= 1e-12 * m.abs().max(1.0) {
-        xs.iter_mut().for_each(|x| *x = 0.0);
+///
+/// The first rule needs no check of its own: the Welford fold of a
+/// bitwise-constant finite series sets the mean to its first value
+/// exactly and then adds only zero deltas, so σ is exactly 0 and the
+/// floor fires (a constant `±∞` or `NaN` series has non-finite
+/// statistics). An empty series is degenerate and stays empty.
+pub fn z_normalize_in_place(xs: &mut [f64]) -> ZStats {
+    let (m, s) = moments(xs);
+    let degenerate = !m.is_finite() || !s.is_finite() || s <= 1e-12 * m.abs().max(1.0);
+    if degenerate {
+        xs.fill(0.0);
     } else {
         xs.iter_mut().for_each(|x| *x = (*x - m) / s);
+    }
+    ZStats {
+        mean: m,
+        std_dev: s,
+        degenerate,
     }
 }
 

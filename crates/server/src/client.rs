@@ -511,7 +511,7 @@ impl Client {
         }
     }
 
-    /// Opens a push-mode stream: an incremental operator DAG matching
+    /// Opens a push-mode stream: an incremental pipeline matching
     /// `query` against every window of the live series under banded DTW.
     ///
     /// `threshold`, when set, must be finite and positive; it caps the

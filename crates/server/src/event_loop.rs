@@ -370,7 +370,7 @@ pub(crate) struct EventLoop {
     pub(crate) finish: Arc<AtomicBool>,
     pub(crate) router: Arc<Router>,
     /// Push-mode stream state. `RefCell`, not `Mutex`: streams live and
-    /// die on this thread only (`Send` because operators are `Send`).
+    /// die on this thread only (`Send` because the stages are `Send`).
     pub(crate) streams: RefCell<StreamRegistry>,
     /// Subscription events produced while one connection was mutably
     /// borrowed, waiting to be fanned out to their target connections.

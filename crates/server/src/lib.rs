@@ -21,8 +21,8 @@
 //!   dataset management ([`datasets`]): upload a corpus once, then query it
 //!   by content-addressed id so the wire carries queries, not corpora;
 //! * `open_stream` / `push_points` / `subscribe` / `close_stream` —
-//!   push-mode mining ([`streams`]): points fan through `mda-streaming`'s
-//!   incremental operator DAG and every accepted point emits one
+//!   push-mode mining ([`streams`]): points step through `mda-streaming`'s
+//!   five-stage incremental pipeline and every accepted point emits one
 //!   epoch-tagged event per subscriber (epoch contiguity is the
 //!   gap-detection contract; a push reply always precedes the events it
 //!   caused on the same connection);

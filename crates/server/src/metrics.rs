@@ -11,10 +11,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use mda_routing::{default_backends, BackendId};
 
 /// Histogram bucket upper bounds, in microseconds (the last bucket is
-/// implicit +inf). Roughly logarithmic from 50 µs to 5 s.
-pub const BUCKET_BOUNDS_US: [u64; 16] = [
-    50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-    1_000_000, 2_000_000, 5_000_000,
+/// implicit +inf). Roughly logarithmic from 1 µs to 5 s, so a
+/// sub-50 µs stage (a stream push, a queue wait) still resolves.
+pub const BUCKET_BOUNDS_US: [u64; 21] = [
+    1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
+    200_000, 500_000, 1_000_000, 2_000_000, 5_000_000,
 ];
 
 /// A log-bucketed latency histogram with atomic buckets.
@@ -503,6 +504,22 @@ mod tests {
         assert_eq!(h.quantile_us(0.95), 50_000); // slow tail bucket
         assert_eq!(h.max_us(), 40_000);
         assert!((h.mean_us() - (90.0 * 80.0 + 10.0 * 40_000.0) / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sub_50us_samples_render_below_50us() {
+        let m = Metrics::new();
+        for _ in 0..100 {
+            m.stream_push.record_us(15);
+        }
+        let text = m.render_text();
+        let p50: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("mda_stream_push_us{quantile=\"0.5\"} "))
+            .expect("p50 series rendered")
+            .parse()
+            .expect("integer µs");
+        assert!(p50 <= 20, "15 µs samples rendered a p50 of {p50} µs");
     }
 
     #[test]

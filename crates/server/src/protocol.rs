@@ -728,7 +728,7 @@ tagged_enum! {
             window: usize,
         } = "search",
         /// Open a push-mode stream: fixes the sliding window, band, query, and
-        /// optional match threshold for the stream's operator DAG.
+        /// optional match threshold for the stream's pipeline.
         OpenStream {
             /// Optional match threshold (finite, positive).
             threshold: Option<f64>,
@@ -926,7 +926,7 @@ wire_struct! {
 }
 
 tagged_enum! {
-    /// The operator DAG's state carried on one stream event.
+    /// The stream pipeline's state carried on one stream event.
     #[derive(Debug, Clone, PartialEq)]
     pub enum StreamEventState {
         /// The window has not filled yet; no frames are emitted.
@@ -936,7 +936,7 @@ tagged_enum! {
             /// Points required before the first ready frame.
             burn_in: u64,
         } = "warming",
-        /// One ready frame from the incremental operators.
+        /// One ready frame from the incremental stages.
         Ready {
             /// Sliding-window mean.
             mean: f64,

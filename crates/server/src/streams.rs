@@ -1,10 +1,11 @@
 //! Live push-mode streams on the event loop: the stream registry, the
 //! consistent-hash shard ring, and the per-push event fan-out.
 //!
-//! Every open stream owns one [`StreamPipeline`] — the incremental
-//! operator DAG from `mda-streaming` — plus its subscriber list. All
-//! state lives on the event-loop thread (streams are connection-born and
-//! the loop is single-threaded), so pushes mutate without locking.
+//! Every open stream owns one [`StreamPipeline`] — the five fixed
+//! incremental stages from `mda-streaming` (window → z-norm and envelope
+//! → matcher → tracker) — plus its subscriber list. All state lives on
+//! the event-loop thread (streams are connection-born and the loop is
+//! single-threaded), so pushes mutate without locking.
 //!
 //! ## Sharding seam
 //!
@@ -357,8 +358,8 @@ fn event_body(stream_id: u64, result: &PushResult) -> StreamEventBody {
             mda_streaming::Output::Warming { seen, burn_in } => {
                 StreamEventState::Warming { seen, burn_in }
             }
-            // The DAG emits all-or-nothing: a partially ready frame set
-            // cannot happen, but degrade to warming rather than panic.
+            // The pipeline emits all-or-nothing: a partially ready frame
+            // set cannot happen, but degrade to warming rather than panic.
             mda_streaming::Output::Ready(_) => StreamEventState::Warming {
                 seen: result.epoch,
                 burn_in: result.epoch,

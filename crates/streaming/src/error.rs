@@ -19,8 +19,6 @@ pub enum StreamError {
     /// construction this is unreachable; it is surfaced rather than
     /// panicking so a server push can answer in-band.
     Kernel(DistanceError),
-    /// The DAG was asked to wire a node to a parent that does not exist.
-    UnknownNode(usize),
 }
 
 impl fmt::Display for StreamError {
@@ -28,7 +26,6 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             StreamError::Kernel(e) => write!(f, "kernel error: {e}"),
-            StreamError::UnknownNode(id) => write!(f, "unknown DAG node id {id}"),
         }
     }
 }

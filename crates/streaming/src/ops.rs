@@ -1,36 +1,34 @@
-//! Incremental operators: the typed nodes of the streaming DAG.
+//! The five pipeline stages and the typed frames they emit.
 //!
-//! Each operator consumes one pushed point per step (plus the outputs of
-//! its parent nodes), carries typed state across steps, and declares an
-//! explicit `burn_in` — it emits [`Output::Warming`] until its window has
-//! filled. The correctness contract is *differential*: once warm, every
-//! emitted frame equals a from-scratch batch recomputation over the
-//! current window — bitwise, because each operator either feeds the exact
-//! batch code path with the same bytes (z-normalization) or maintains
-//! state that is provably bit-identical to the batch result (Lemire
-//! envelopes via [`SlidingExtremum`], the UCR cascade via a [`Cascade`]
-//! built once for the query + maintained candidate envelope). The gate is enforced
-//! by [`crate::differential`], property tests, and the conformance
-//! harness's `streaming_differential` layer.
+//! [`crate::pipeline::StreamPipeline`] steps the stages in a fixed order
+//! on every push: window → z-norm and envelope → matcher → tracker. Each
+//! stage carries typed state across pushes; until the window has filled,
+//! every slot of the push result is [`Output::Warming`]. The correctness
+//! contract is *differential*: once warm, every emitted frame equals a
+//! from-scratch batch recomputation over the current window — bitwise,
+//! because each stage either runs the batch code path on the same bytes
+//! (z-normalization) or maintains state that is provably bit-identical
+//! to the batch result (Lemire envelopes via [`SlidingExtremum`], the
+//! UCR cascade via a [`Cascade`] built once for the query + maintained
+//! candidate envelope). The gate is enforced by [`crate::differential`],
+//! property tests, and the conformance harness's `streaming_differential`
+//! layer.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mda_distance::lower_bounds::{slice_extremum, Cascade, PruneDecision, SlidingExtremum};
 use mda_distance::{znorm, DpScratch};
 
 use crate::error::StreamError;
-use crate::window::{SlidingWindow, WelfordState};
+use crate::window::SlidingWindow;
 
-/// The materialized sliding window: the source frame every other
-/// operator derives from.
+/// The materialized sliding window: the source frame every other stage
+/// derives from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowFrame {
     /// Window contents, oldest first (length = configured window).
     pub points: Arc<Vec<f64>>,
-    /// The point appended this step.
-    pub appended: f64,
-    /// The point evicted this step (`None` on the step the window fills).
-    pub evicted: Option<f64>,
 }
 
 /// Sliding z-normalization output.
@@ -40,9 +38,9 @@ pub struct StatsFrame {
     pub mean: f64,
     /// Window population σ — bitwise the batch `znorm::std_dev`.
     pub std_dev: f64,
-    /// `true` when the degenerate rules of `z_normalize_in_place` fired
-    /// (bitwise-constant window, σ under the Welford relative floor, or
-    /// non-finite statistics) and `z` is therefore all zeros.
+    /// `true` when the degenerate rule of `znorm::z_normalize_in_place`
+    /// fired (bitwise-constant window, σ under the Welford relative
+    /// floor, or non-finite statistics) and `z` is therefore all zeros.
     pub degenerate: bool,
     /// The z-normalized window — bitwise the batch `z_normalized`.
     pub z: Arc<Vec<f64>>,
@@ -88,29 +86,30 @@ pub struct TrackFrame {
     pub discord: Option<BestMatch>,
 }
 
-/// A typed operator output value.
+/// A typed stage output value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// From [`WindowOp`].
+    /// From the window stage.
     Window(WindowFrame),
-    /// From [`ZNormOp`].
+    /// From the z-norm stage.
     Stats(StatsFrame),
-    /// From [`EnvelopeOp`].
+    /// From the envelope stage.
     Envelope(EnvelopeFrame),
-    /// From [`MatcherOp`].
+    /// From the matcher stage.
     Match(MatchFrame),
-    /// From [`TrackerOp`].
+    /// From the tracker stage.
     Track(TrackFrame),
 }
 
-/// What a node emitted for one pushed point.
+/// What a stage emitted for one pushed point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Output {
-    /// The node (or one of its ancestors) has not finished burn-in.
+    /// The window has not filled yet; every stage reports the same
+    /// progress.
     Warming {
         /// Points seen so far.
         seen: u64,
-        /// Points required before the node emits values.
+        /// Points required before the stages emit values (the window).
         burn_in: u64,
     },
     /// A warm, differentially-gated frame.
@@ -118,7 +117,7 @@ pub enum Output {
 }
 
 impl Output {
-    /// `true` once the node emits values.
+    /// `true` once the stage emits values.
     pub fn is_ready(&self) -> bool {
         matches!(self, Output::Ready(_))
     }
@@ -132,234 +131,129 @@ impl Output {
     }
 }
 
-/// Per-push context handed to every operator.
-#[derive(Debug, Clone, Copy)]
-pub struct PushCtx {
-    /// 1-based count of points pushed to the DAG so far.
-    pub epoch: u64,
-    /// The point pushed this step (validated finite by the DAG).
-    pub point: f64,
-}
-
-/// One node of the streaming DAG.
-///
-/// `apply` runs on *every* push — including during burn-in, so stateful
-/// operators can fill their windows — and receives its parents' outputs
-/// for the same push, in wiring order.
-pub trait Operator: Send {
-    /// Stable node label (used in frames, metrics, and mismatch reports).
-    fn name(&self) -> &'static str;
-    /// Number of points before this node emits `Ready` outputs.
-    fn burn_in(&self) -> u64;
-    /// Advances the node by one pushed point.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`StreamError`] — operators never panic on domain input.
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError>;
-}
-
-fn wiring_error(op: &'static str, expected: &str) -> StreamError {
-    StreamError::InvalidParameter(format!("operator `{op}` wired to a non-{expected} parent"))
-}
-
-/// Source node: maintains the ring buffer and materializes the window.
+/// Window stage: maintains the ring buffer and materializes the window.
 #[derive(Debug)]
-pub struct WindowOp {
+pub(crate) struct WindowStage {
     window: SlidingWindow,
     points: Arc<Vec<f64>>,
 }
 
-impl WindowOp {
+impl WindowStage {
     /// A window over the last `capacity` points (`capacity` ≥ 1, enforced
     /// by [`crate::pipeline::StreamConfig::validate`]).
-    pub fn new(capacity: usize) -> Self {
-        WindowOp {
+    pub(crate) fn new(capacity: usize) -> Self {
+        WindowStage {
             window: SlidingWindow::new(capacity),
             points: Arc::new(Vec::with_capacity(capacity)),
         }
     }
-}
 
-impl Operator for WindowOp {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.window.capacity() as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, _inputs: &[&Output]) -> Result<Output, StreamError> {
-        let evicted = self.window.push(ctx.point);
+    /// Appends `point`; the materialized window once it is full.
+    pub(crate) fn push(&mut self, point: f64) -> Option<WindowFrame> {
+        self.window.push(point);
         if !self.window.is_full() {
-            return Ok(Output::Warming {
-                seen: self.window.len() as u64,
-                burn_in: self.burn_in(),
-            });
+            return None;
         }
         // `make_mut` reuses the buffer unless a caller still holds the
         // previous frame, in which case it clones rather than mutating
         // bytes out from under them.
         self.window.copy_into(Arc::make_mut(&mut self.points));
-        Ok(Output::Ready(Value::Window(WindowFrame {
+        Some(WindowFrame {
             points: Arc::clone(&self.points),
-            appended: ctx.point,
-            evicted,
-        })))
+        })
     }
 }
 
-/// Sliding-window z-normalization.
-///
-/// The O(1) add/evict [`WelfordState`] monitors the window as it slides;
-/// emitted statistics re-fold the materialized window through the exact
-/// batch code path (`znorm::mean` / `znorm::std_dev` /
-/// `z_normalize_in_place`) so the frame is bit-for-bit the batch result —
-/// the frame is O(w) to write regardless, and the downdating monitor can
-/// drift by ULPs (see [`WelfordState::evict`]).
+/// Z-norm stage: one pass of the batch body `znorm::z_normalize_in_place`
+/// over a copy of the window, which also yields the frame's statistics
+/// and degenerate flag — bit for bit the batch result.
 #[derive(Debug)]
-pub struct ZNormOp {
-    monitor: WelfordState,
-    burn_in: u64,
+pub(crate) struct ZNormStage {
     z: Arc<Vec<f64>>,
 }
 
-impl ZNormOp {
+impl ZNormStage {
     /// A z-normalizer for windows of `window` points.
-    pub fn new(window: usize) -> Self {
-        ZNormOp {
-            monitor: WelfordState::new(),
-            burn_in: window as u64,
+    pub(crate) fn new(window: usize) -> Self {
+        ZNormStage {
             z: Arc::new(Vec::with_capacity(window)),
         }
     }
 
-    /// The O(1) sliding accumulators (monitoring-grade: ULP drift).
-    pub fn monitor(&self) -> &WelfordState {
-        &self.monitor
-    }
-}
-
-impl Operator for ZNormOp {
-    fn name(&self) -> &'static str {
-        "znorm"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.burn_in
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        self.monitor.add(ctx.point);
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Window(f))) => f,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in),
-                    burn_in: self.burn_in,
-                })
-            }
-            _ => return Err(wiring_error("znorm", "window")),
-        };
-        if let Some(evicted) = frame.evicted {
-            self.monitor.evict(evicted);
-        }
-        let pts = frame.points.as_slice();
-        let mean = znorm::mean(pts);
-        let std_dev = znorm::std_dev(pts);
-        let first = pts[0].to_bits();
-        let constant = pts.iter().all(|x| x.to_bits() == first);
-        let degenerate = constant
-            || !mean.is_finite()
-            || !std_dev.is_finite()
-            || std_dev <= 1e-12 * mean.abs().max(1.0);
+    /// Normalizes the current window.
+    pub(crate) fn frame(&mut self, points: &[f64]) -> StatsFrame {
         let z = Arc::make_mut(&mut self.z);
         z.clear();
-        z.extend_from_slice(pts);
-        znorm::z_normalize_in_place(z);
-        Ok(Output::Ready(Value::Stats(StatsFrame {
-            mean,
-            std_dev,
-            degenerate,
+        z.extend_from_slice(points);
+        let stats = znorm::z_normalize_in_place(z);
+        StatsFrame {
+            mean: stats.mean,
+            std_dev: stats.std_dev,
+            degenerate: stats.degenerate,
             z: Arc::clone(&self.z),
-        })))
+        }
     }
 }
 
-/// Incremental Lemire envelope of the sliding window.
+/// Envelope stage: the incremental Lemire envelope of the sliding window.
 ///
 /// Interior entries (`r ≤ i ≤ w-1-r`) are stream-absolute extrema over a
 /// fixed span of `2r + 1` points: each is finalized exactly once by the
 /// [`SlidingExtremum`] monotonic deques as the closing point arrives, in
 /// O(1) amortized. Only the ≤ 2r window-clamped border entries shift
-/// meaning as the window slides; those are recomputed per emission with
+/// meaning as the window slides; those are recomputed per frame with
 /// [`slice_extremum`], which replicates the batch deque's tie-breaking —
 /// so the assembled envelope is bitwise the batch `envelope(window, r)`.
 #[derive(Debug)]
-pub struct EnvelopeOp {
+pub(crate) struct EnvelopeStage {
     radius: usize,
     window: usize,
     smax: SlidingExtremum,
     smin: SlidingExtremum,
-    fin_upper: std::collections::VecDeque<f64>,
-    fin_lower: std::collections::VecDeque<f64>,
+    fin_upper: VecDeque<f64>,
+    fin_lower: VecDeque<f64>,
     upper: Arc<Vec<f64>>,
     lower: Arc<Vec<f64>>,
 }
 
-impl EnvelopeOp {
+impl EnvelopeStage {
     /// An envelope maintainer for band radius `radius` over windows of
     /// `window` points.
-    pub fn new(window: usize, radius: usize) -> Self {
-        EnvelopeOp {
+    pub(crate) fn new(window: usize, radius: usize) -> Self {
+        EnvelopeStage {
             radius,
             window,
             smax: SlidingExtremum::new_max(2 * radius + 1),
             smin: SlidingExtremum::new_min(2 * radius + 1),
-            fin_upper: std::collections::VecDeque::with_capacity(window + 1),
-            fin_lower: std::collections::VecDeque::with_capacity(window + 1),
+            fin_upper: VecDeque::with_capacity(window + 1),
+            fin_lower: VecDeque::with_capacity(window + 1),
             upper: Arc::new(Vec::with_capacity(window)),
             lower: Arc::new(Vec::with_capacity(window)),
         }
     }
-}
 
-impl Operator for EnvelopeOp {
-    fn name(&self) -> &'static str {
-        "envelope"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.window as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let idx = ctx.epoch - 1; // 0-based absolute stream index
-        self.smax.push(idx, ctx.point);
-        self.smin.push(idx, ctx.point);
+    /// Feeds the deques the `epoch`-th point; runs on every push,
+    /// burn-in included.
+    pub(crate) fn advance(&mut self, epoch: u64, point: f64) {
+        let idx = epoch - 1; // 0-based absolute stream index
+        self.smax.push(idx, point);
+        self.smin.push(idx, point);
         if idx >= 2 * self.radius as u64 {
             // The span around center idx - r is complete: finalize it.
             self.fin_upper
-                .push_back(self.smax.extremum().unwrap_or(ctx.point));
+                .push_back(self.smax.extremum().unwrap_or(point));
             self.fin_lower
-                .push_back(self.smin.extremum().unwrap_or(ctx.point));
+                .push_back(self.smin.extremum().unwrap_or(point));
             if self.fin_upper.len() > self.window {
                 self.fin_upper.pop_front();
                 self.fin_lower.pop_front();
             }
         }
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Window(f))) => f,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in()),
-                    burn_in: self.burn_in(),
-                })
-            }
-            _ => return Err(wiring_error("envelope", "window")),
-        };
-        let pts = frame.points.as_slice();
+    }
+
+    /// Assembles the envelope of the full window `pts`, which must end at
+    /// the point last passed to [`EnvelopeStage::advance`].
+    pub(crate) fn frame(&mut self, pts: &[f64]) -> EnvelopeFrame {
         let (w, r) = (pts.len(), self.radius);
         let fin_len = self.fin_upper.len();
         let upper = Arc::make_mut(&mut self.upper);
@@ -383,76 +277,59 @@ impl Operator for EnvelopeOp {
                 lower[i] = self.fin_lower[pos];
             }
         }
-        Ok(Output::Ready(Value::Envelope(EnvelopeFrame {
+        EnvelopeFrame {
             upper: Arc::clone(&self.upper),
             lower: Arc::clone(&self.lower),
-        })))
+        }
     }
 }
 
-/// Online subsequence matcher: the UCR cascade against a fixed query.
+/// Matcher stage: the UCR cascade against a fixed query.
 ///
 /// Carries the query's [`Cascade`] (query envelope built once, in
-/// [`MatcherOp::new`]), the incrementally maintained candidate envelope
-/// (parent node), and the
-/// best-so-far pruning threshold across pushes. The expensive banded DTW
-/// re-runs only when the new point invalidates the pruning certificate —
-/// when the window's lower bounds fall below the carried threshold; every
-/// other push settles in the O(1)/O(w) bound layers.
+/// [`MatcherStage::new`]) and the best-so-far pruning threshold across
+/// pushes, and reads the envelope stage's candidate envelope. The
+/// expensive banded DTW re-runs only when the new point invalidates the
+/// pruning certificate — when the window's lower bounds fall below the
+/// carried threshold; every other push settles in the O(1)/O(w) bound
+/// layers.
 #[derive(Debug)]
-pub struct MatcherOp {
+pub(crate) struct MatcherStage {
     cascade: Cascade,
     threshold: f64,
     scratch: DpScratch,
     best: Option<BestMatch>,
 }
 
-impl MatcherOp {
+impl MatcherStage {
     /// A matcher for `query` (length = window) at band `radius`, pruning
     /// against `threshold` (`None` = unbounded: every window computes
     /// until a best-so-far forms).
-    pub fn new(query: Vec<f64>, radius: usize, threshold: Option<f64>) -> Self {
-        MatcherOp {
-            cascade: Cascade::new(&query, radius),
+    pub(crate) fn new(query: &[f64], radius: usize, threshold: Option<f64>) -> Self {
+        MatcherStage {
+            cascade: Cascade::new(query, radius),
             threshold: threshold.unwrap_or(f64::INFINITY),
             scratch: DpScratch::new(),
             best: None,
         }
     }
 
-    /// Best computed match so far.
-    pub fn best(&self) -> Option<BestMatch> {
-        self.best
-    }
-}
-
-impl Operator for MatcherOp {
-    fn name(&self) -> &'static str {
-        "matcher"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.cascade.query().len() as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let (window, env) = match (inputs.first(), inputs.get(1)) {
-            (Some(Output::Ready(Value::Window(w))), Some(Output::Ready(Value::Envelope(e)))) => {
-                (w, e)
-            }
-            (Some(Output::Warming { .. }), _) | (_, Some(Output::Warming { .. })) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in()),
-                    burn_in: self.burn_in(),
-                })
-            }
-            _ => return Err(wiring_error("matcher", "window+envelope")),
-        };
+    /// Decides the `epoch`-th window `pts` with its envelope `env`.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::Kernel`] if the cascade rejects its inputs.
+    pub(crate) fn frame(
+        &mut self,
+        epoch: u64,
+        pts: &[f64],
+        env: &EnvelopeFrame,
+    ) -> Result<MatchFrame, StreamError> {
         let pruning = self
             .threshold
             .min(self.best.map_or(f64::INFINITY, |b| b.distance));
         let decision = self.cascade.decide_with_envelope(
-            &window.points,
+            pts,
             pruning,
             &env.upper,
             &env.lower,
@@ -460,17 +337,14 @@ impl Operator for MatcherOp {
         )?;
         if let PruneDecision::Computed(d) = decision {
             if self.best.is_none_or(|b| d < b.distance) {
-                self.best = Some(BestMatch {
-                    epoch: ctx.epoch,
-                    distance: d,
-                });
+                self.best = Some(BestMatch { epoch, distance: d });
             }
         }
-        Ok(Output::Ready(Value::Match(MatchFrame {
+        Ok(MatchFrame {
             decision,
             threshold: pruning,
             best: self.best,
-        })))
+        })
     }
 }
 
@@ -516,63 +390,31 @@ pub fn certified_bound(decision: PruneDecision, threshold: f64) -> f64 {
     }
 }
 
-/// Best-so-far motif/discord tracker: a pure fold over matcher frames.
-#[derive(Debug)]
-pub struct TrackerOp {
-    burn_in: u64,
+/// Tracker stage: a best-so-far motif/discord fold over matcher frames.
+#[derive(Debug, Default)]
+pub(crate) struct TrackerStage {
     motif: Option<BestMatch>,
     discord: Option<BestMatch>,
 }
 
-impl TrackerOp {
-    /// A tracker warming with the `window`-point matcher above it.
-    pub fn new(window: usize) -> Self {
-        TrackerOp {
-            burn_in: window as u64,
-            motif: None,
-            discord: None,
-        }
-    }
-}
-
-impl Operator for TrackerOp {
-    fn name(&self) -> &'static str {
-        "tracker"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.burn_in
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Match(m))) => m,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in),
-                    burn_in: self.burn_in,
-                })
-            }
-            _ => return Err(wiring_error("tracker", "match")),
-        };
-        if let PruneDecision::Computed(d) = frame.decision {
+impl TrackerStage {
+    /// Folds in the `epoch`-th matcher frame.
+    pub(crate) fn frame(&mut self, epoch: u64, m: &MatchFrame) -> TrackFrame {
+        if let PruneDecision::Computed(d) = m.decision {
             if self.motif.is_none_or(|b| d < b.distance) {
-                self.motif = Some(BestMatch {
-                    epoch: ctx.epoch,
-                    distance: d,
-                });
+                self.motif = Some(BestMatch { epoch, distance: d });
             }
         }
-        let bound = certified_bound(frame.decision, frame.threshold);
+        let bound = certified_bound(m.decision, m.threshold);
         if self.discord.is_none_or(|b| bound > b.distance) {
             self.discord = Some(BestMatch {
-                epoch: ctx.epoch,
+                epoch,
                 distance: bound,
             });
         }
-        Ok(Output::Ready(Value::Track(TrackFrame {
+        TrackFrame {
             motif: self.motif,
             discord: self.discord,
-        })))
+        }
     }
 }

@@ -1,9 +1,11 @@
-//! The standard mining pipeline: window → {z-norm, envelope} → matcher
-//! → tracker, wired into a [`Dag`] with validated configuration.
+//! The mining pipeline: window → {z-norm, envelope} → matcher → tracker,
+//! five fixed stages stepped in one straight line per push, behind a
+//! validated configuration.
 
-use crate::dag::{Dag, NodeId, NodeOutput};
 use crate::error::StreamError;
-use crate::ops::{EnvelopeOp, MatcherOp, Output, TrackerOp, WindowOp, ZNormOp};
+use crate::ops::{
+    EnvelopeStage, MatcherStage, Output, TrackerStage, Value, WindowStage, ZNormStage,
+};
 
 /// Largest accepted window (keeps per-push work and frame sizes sane).
 pub const MAX_WINDOW: usize = 1 << 20;
@@ -63,25 +65,25 @@ impl StreamConfig {
     }
 }
 
-/// One push's outputs, one typed slot per pipeline node.
+/// One push's outputs, one typed slot per pipeline stage.
 #[derive(Debug)]
 pub struct PushResult {
     /// 1-based epoch of this push.
     pub epoch: u64,
-    /// [`WindowOp`] output.
+    /// Window stage output.
     pub window: Output,
-    /// [`ZNormOp`] output.
+    /// Z-norm stage output.
     pub stats: Output,
-    /// [`EnvelopeOp`] output.
+    /// Envelope stage output.
     pub envelope: Output,
-    /// [`MatcherOp`] output.
+    /// Matcher stage output.
     pub matcher: Output,
-    /// [`TrackerOp`] output.
+    /// Tracker stage output.
     pub tracker: Output,
 }
 
 impl PushResult {
-    /// `true` once every node has burned in.
+    /// `true` once the window has filled (every slot is ready).
     pub fn ready(&self) -> bool {
         self.window.is_ready()
             && self.stats.is_ready()
@@ -94,11 +96,16 @@ impl PushResult {
 /// A validated, ready-to-push mining pipeline over one live series.
 pub struct StreamPipeline {
     config: StreamConfig,
-    dag: Dag,
+    epoch: u64,
+    window: WindowStage,
+    znorm: ZNormStage,
+    envelope: EnvelopeStage,
+    matcher: MatcherStage,
+    tracker: TrackerStage,
 }
 
 impl StreamPipeline {
-    /// Builds the five-node pipeline after validating `config`.
+    /// Builds the five-stage pipeline after validating `config`.
     ///
     /// # Errors
     ///
@@ -106,23 +113,15 @@ impl StreamPipeline {
     /// [`StreamConfig::validate`].
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
         config.validate()?;
-        let mut dag = Dag::new();
-        let window = dag.add(Box::new(WindowOp::new(config.window)), &[])?;
-        let _znorm = dag.add(Box::new(ZNormOp::new(config.window)), &[window])?;
-        let envelope = dag.add(
-            Box::new(EnvelopeOp::new(config.window, config.band)),
-            &[window],
-        )?;
-        let matcher = dag.add(
-            Box::new(MatcherOp::new(
-                config.query.clone(),
-                config.band,
-                config.threshold,
-            )),
-            &[window, envelope],
-        )?;
-        let _tracker = dag.add(Box::new(TrackerOp::new(config.window)), &[matcher])?;
-        Ok(StreamPipeline { config, dag })
+        Ok(StreamPipeline {
+            epoch: 0,
+            window: WindowStage::new(config.window),
+            znorm: ZNormStage::new(config.window),
+            envelope: EnvelopeStage::new(config.window, config.band),
+            matcher: MatcherStage::new(&config.query, config.band, config.threshold),
+            tracker: TrackerStage::default(),
+            config,
+        })
     }
 
     /// The validated configuration.
@@ -132,46 +131,61 @@ impl StreamPipeline {
 
     /// Points pushed so far.
     pub fn epoch(&self) -> u64 {
-        self.dag.pushed()
+        self.epoch
     }
 
-    /// Points required before every node emits (`= window`).
+    /// Points required before every stage emits (`= window`).
     pub fn burn_in(&self) -> usize {
         self.config.window
     }
 
-    /// Pushes one point through the DAG.
+    /// Pushes one point through the five stages.
     ///
     /// # Errors
     ///
-    /// [`StreamError::InvalidParameter`] for non-finite points (the
-    /// epoch does not advance), or a typed kernel error.
+    /// [`StreamError::InvalidParameter`] for non-finite points (state is
+    /// untouched and the epoch does not advance), or a typed kernel error.
     pub fn push(&mut self, point: f64) -> Result<PushResult, StreamError> {
-        let outs = self.dag.push(point)?;
-        let epoch = self.dag.pushed();
-        let [window, stats, envelope, matcher, tracker]: [NodeOutput; 5] = outs
-            .try_into()
-            .expect("pipeline DAG always has exactly five nodes");
+        if !point.is_finite() {
+            return Err(StreamError::InvalidParameter(format!(
+                "pushed point must be finite, got {point}"
+            )));
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.envelope.advance(epoch, point);
+        let Some(window) = self.window.push(point) else {
+            let warming = Output::Warming {
+                seen: epoch,
+                burn_in: self.config.window as u64,
+            };
+            return Ok(PushResult {
+                epoch,
+                window: warming.clone(),
+                stats: warming.clone(),
+                envelope: warming.clone(),
+                matcher: warming.clone(),
+                tracker: warming,
+            });
+        };
+        let stats = self.znorm.frame(&window.points);
+        let envelope = self.envelope.frame(&window.points);
+        let matched = self.matcher.frame(epoch, &window.points, &envelope)?;
+        let tracked = self.tracker.frame(epoch, &matched);
         Ok(PushResult {
             epoch,
-            window: window.output,
-            stats: stats.output,
-            envelope: envelope.output,
-            matcher: matcher.output,
-            tracker: tracker.output,
+            window: Output::Ready(Value::Window(window)),
+            stats: Output::Ready(Value::Stats(stats)),
+            envelope: Output::Ready(Value::Envelope(envelope)),
+            matcher: Output::Ready(Value::Match(matched)),
+            tracker: Output::Ready(Value::Track(tracked)),
         })
-    }
-
-    /// Node ids in topological order, for callers that walk the DAG.
-    pub fn node_ids(&self) -> [NodeId; 5] {
-        [NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Value;
 
     fn config(window: usize, band: usize) -> StreamConfig {
         StreamConfig {

@@ -1,4 +1,4 @@
-//! Replay engine: recorded series through the identical operator path,
+//! Replay engine: recorded series through the identical pipeline,
 //! on a deterministic virtual clock.
 //!
 //! Replay never consults wall time or randomness — inter-arrival spacing

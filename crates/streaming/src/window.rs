@@ -1,15 +1,6 @@
-//! Sliding-window primitives: the ring buffer every operator shares and
-//! the O(1) add/evict Welford accumulators that monitor it.
-//!
-//! The accumulators are the streaming form of the single-pass Welford
-//! statistics in `mda_distance::znorm` (PR 4): adding a point is the
-//! forward update, evicting one is the algebraic downdate. Downdating
-//! reuses rounded state, so after many slides the monitor can drift by a
-//! few ULPs from a from-scratch fold over the window — which is why
-//! operators that *emit* statistics re-fold the materialized window with
-//! the batch code path (the frame is O(w) to write anyway) and use the
-//! monitor only for O(1) bookkeeping. The drift bound is property-tested
-//! in `tests/differential_props.rs`.
+//! The sliding window: a fixed-capacity ring buffer over the last
+//! `window` pushed points, which the window stage materializes once per
+//! push for every later stage to read.
 
 /// Fixed-capacity ring buffer over the last `capacity` pushed points.
 #[derive(Debug, Clone)]
@@ -25,7 +16,7 @@ impl SlidingWindow {
     /// # Panics
     ///
     /// Panics if `capacity` is zero (a zero-length window has no meaning;
-    /// stream construction validates this before building operators).
+    /// stream construction validates this before building stages).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
@@ -80,81 +71,9 @@ impl SlidingWindow {
     }
 }
 
-/// O(1) add/evict Welford accumulators: streaming mean and variance of
-/// the points currently inside a sliding window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WelfordState {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl WelfordState {
-    /// Empty accumulators.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of points currently accumulated.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current running mean (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Current population variance (`0.0` when empty).
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0)
-        }
-    }
-
-    /// Current population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Forward Welford update: accumulate `x` in O(1).
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Welford downdate: remove a point previously added, in O(1).
-    ///
-    /// The downdate inverts the forward recurrence algebraically; because
-    /// it reuses rounded state it can drift a few ULPs from a fresh fold,
-    /// so it backs monitoring and burn-in bookkeeping, never emitted
-    /// statistics.
-    pub fn evict(&mut self, x: f64) {
-        debug_assert!(self.count > 0, "evict from empty accumulator");
-        self.count -= 1;
-        if self.count == 0 {
-            self.mean = 0.0;
-            self.m2 = 0.0;
-            return;
-        }
-        let prev_mean = self.mean + (self.mean - x) / self.count as f64;
-        self.m2 -= (x - prev_mean) * (x - self.mean);
-        self.mean = prev_mean;
-        if self.m2 < 0.0 {
-            // Cancellation floor: variance is non-negative by definition.
-            self.m2 = 0.0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mda_distance::znorm;
 
     #[test]
     fn window_fills_then_slides() {
@@ -188,64 +107,5 @@ mod tests {
                 assert_eq!(got, expect, "cap={cap} i={i}");
             }
         }
-    }
-
-    #[test]
-    fn welford_add_matches_batch_exactly() {
-        // Add-only accumulation IS the batch fold: identical bits.
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-        let mut acc = WelfordState::new();
-        for (i, &x) in xs.iter().enumerate() {
-            acc.add(x);
-            let prefix = &xs[..=i];
-            assert_eq!(acc.mean().to_bits(), znorm::mean(prefix).to_bits());
-            assert_eq!(acc.std_dev().to_bits(), znorm::std_dev(prefix).to_bits());
-        }
-    }
-
-    #[test]
-    fn welford_slide_tracks_batch_closely() {
-        let xs: Vec<f64> = (0..500)
-            .map(|i| (i as f64 * 0.11).sin() + 0.01 * i as f64)
-            .collect();
-        let w = 32;
-        let mut acc = WelfordState::new();
-        for (i, &x) in xs.iter().enumerate() {
-            acc.add(x);
-            if i >= w {
-                acc.evict(xs[i - w]);
-            }
-            if i + 1 >= w {
-                let window = &xs[i + 1 - w..=i];
-                let bm = znorm::mean(window);
-                let bs = znorm::std_dev(window);
-                assert!((acc.mean() - bm).abs() <= 1e-9 * bm.abs().max(1.0));
-                assert!((acc.std_dev() - bs).abs() <= 1e-9 * bs.abs().max(1.0));
-            }
-        }
-    }
-
-    #[test]
-    fn welford_evict_to_empty_resets() {
-        let mut acc = WelfordState::new();
-        acc.add(5.0);
-        acc.evict(5.0);
-        assert_eq!(acc.count(), 0);
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_variance_never_negative_under_cancellation() {
-        let mut acc = WelfordState::new();
-        for _ in 0..100 {
-            acc.add(1.0e9);
-            acc.add(1.0e9 + 1.0e-6);
-        }
-        for _ in 0..99 {
-            acc.evict(1.0e9);
-            acc.evict(1.0e9 + 1.0e-6);
-        }
-        assert!(acc.variance() >= 0.0);
     }
 }

@@ -27,7 +27,7 @@
 //! * [`server`] — the batching distance-query network service (request
 //!   coalescing, admission control, accuracy-aware routing, push-mode
 //!   stream verbs, live metrics);
-//! * [`streaming`] — push-mode mining: the incremental operator DAG
+//! * [`streaming`] — push-mode mining: the five-stage incremental pipeline
 //!   (sliding z-norm, incremental envelopes, online UCR matching,
 //!   motif/discord tracking), differential-gated bitwise against the
 //!   batch kernels, with deterministic replay.
