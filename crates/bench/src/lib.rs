@@ -13,9 +13,10 @@
 //! | `power_table` | Section 4.3 power budgets and the 26.7×–8767× energy-efficiency range |
 //! | `ablation`    | Behavioural-engine calibration against device-level MNA simulation |
 //!
-//! Criterion benches (in `benches/`) measure the digital CPU baselines, the
-//! analog engine throughput, device-level PE solves, lower-bound pruning and
-//! resistance tuning.
+//! Performance is timed by gated binaries beside them: `kernels` (DP
+//! kernels, the pruning cascade and analog settle throughput, identity- and
+//! speedup-gated) and `spice_solver` (device-level PE solves against the
+//! frozen legacy solver at 1e-12).
 
 pub mod cpu;
 pub mod kernels_baseline;

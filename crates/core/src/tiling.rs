@@ -7,7 +7,8 @@
 //! The matrix structure is tiled in wavefront order: an `m x n` DP matrix is
 //! cut into `ceil(m/R) x ceil(n/C)` tiles; boundary rows/columns are carried
 //! between tiles. The row structure simply processes `ceil(n/C)` chunks and
-//! accumulates partial sums digitally.
+//! accumulates partial sums digitally. [`TilingPlan`] counts those array
+//! passes; the accelerator multiplies its convergence time by them.
 
 use crate::array::{ArrayDimensions, Structure};
 
@@ -58,91 +59,9 @@ impl TilingPlan {
     }
 }
 
-/// Computes a Manhattan distance in tiles of `chunk` elements, accumulating
-/// partial sums — functionally identical to the untiled result, which the
-/// tests verify. `evaluate_chunk` stands in for one analog array pass.
-pub fn tiled_row_sum<F>(p: &[f64], q: &[f64], chunk: usize, mut evaluate_chunk: F) -> f64
-where
-    F: FnMut(&[f64], &[f64]) -> f64,
-{
-    assert_eq!(p.len(), q.len(), "row structure requires equal lengths");
-    assert!(chunk > 0, "chunk must be positive");
-    p.chunks(chunk)
-        .zip(q.chunks(chunk))
-        .map(|(pc, qc)| evaluate_chunk(pc, qc))
-        .sum()
-}
-
-/// Computes a full DP recurrence in tiles, carrying boundaries between
-/// tiles. `cell` is the DP cell update `(cost_inputs) -> value`; this is the
-/// digital shadow of the analog wavefront tiling, used to verify that tiled
-/// and untiled evaluations agree exactly.
-///
-/// The recurrence is expressed through the generic cell function
-/// `f(diag, up, left, p_i, q_j)`; boundary values come from `top_boundary`
-/// (row 0), `left_boundary` (column 0) and `corner` (cell `(0,0)`).
-#[allow(clippy::too_many_arguments)]
-pub fn tiled_dp<F>(
-    p: &[f64],
-    q: &[f64],
-    tile_rows: usize,
-    tile_cols: usize,
-    corner: f64,
-    top_boundary: impl Fn(usize) -> f64,
-    left_boundary: impl Fn(usize) -> f64,
-    cell: F,
-) -> f64
-where
-    F: Fn(f64, f64, f64, f64, f64) -> f64,
-{
-    assert!(tile_rows > 0 && tile_cols > 0, "tile dims must be positive");
-    let (m, n) = (p.len(), q.len());
-    // Full boundary state: previous row of the global matrix, plus the
-    // left-column carry per row band. We keep the whole previous row
-    // (length n+1) and sweep row bands of height `tile_rows`.
-    let mut prev_row: Vec<f64> = (0..=n)
-        .map(|j| if j == 0 { corner } else { top_boundary(j) })
-        .collect();
-
-    let mut i0 = 0;
-    while i0 < m {
-        let band = (m - i0).min(tile_rows);
-        // Row band [i0+1 ..= i0+band]; process in column tiles.
-        let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n + 1]; band];
-        for (r, row) in rows.iter_mut().enumerate() {
-            row[0] = left_boundary(i0 + r + 1);
-        }
-        let mut j0 = 0;
-        while j0 < n {
-            let width = (n - j0).min(tile_cols);
-            for r in 0..band {
-                for c in 0..width {
-                    let i = i0 + r + 1;
-                    let j = j0 + c + 1;
-                    let diag = if r == 0 {
-                        prev_row[j - 1]
-                    } else {
-                        rows[r - 1][j - 1]
-                    };
-                    let up = if r == 0 { prev_row[j] } else { rows[r - 1][j] };
-                    let left = rows[r][j - 1];
-                    rows[r][j] = cell(diag, up, left, p[i - 1], q[j - 1]);
-                }
-            }
-            j0 += width;
-        }
-        prev_row = rows.pop().expect("band >= 1");
-        // Rebuild corner/boundary semantics for the next band: prev_row[0]
-        // must be the left boundary of the last processed row.
-        i0 += band;
-    }
-    prev_row[n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mda_distance::{Dtw, EditDistance, Manhattan};
 
     #[test]
     fn plan_counts() {
@@ -162,76 +81,5 @@ mod tests {
         let a = ArrayDimensions::new(128, 128);
         assert_eq!(TilingPlan::plan(Structure::Matrix, a, 40, 40).passes, 1);
         assert_eq!(TilingPlan::plan(Structure::Row, a, 1, 40).passes, 1);
-    }
-
-    #[test]
-    fn tiled_row_sum_equals_untiled_manhattan() {
-        let p: Vec<f64> = (0..37).map(|i| (i as f64 * 0.7).sin()).collect();
-        let q: Vec<f64> = (0..37).map(|i| (i as f64 * 0.5).cos()).collect();
-        let reference = Manhattan::new().distance(&p, &q).unwrap();
-        for chunk in [1, 4, 16, 37, 100] {
-            let tiled = tiled_row_sum(&p, &q, chunk, |pc, qc| {
-                Manhattan::new().distance(pc, qc).unwrap()
-            });
-            assert!(
-                (tiled - reference).abs() < 1e-12,
-                "chunk {chunk}: {tiled} vs {reference}"
-            );
-        }
-    }
-
-    #[test]
-    fn tiled_dp_equals_untiled_dtw() {
-        let p: Vec<f64> = (0..23).map(|i| (i as f64 * 0.31).sin()).collect();
-        let q: Vec<f64> = (0..19).map(|i| (i as f64 * 0.29).cos()).collect();
-        let reference = Dtw::new().distance(&p, &q).unwrap();
-        for (tr, tc) in [(4, 4), (8, 3), (23, 19), (1, 1), (5, 19)] {
-            let tiled = tiled_dp(
-                &p,
-                &q,
-                tr,
-                tc,
-                0.0,
-                |_| f64::INFINITY,
-                |_| f64::INFINITY,
-                |diag, up, left, pi, qj| {
-                    let best = diag.min(up).min(left);
-                    if best.is_finite() {
-                        (pi - qj).abs() + best
-                    } else {
-                        f64::INFINITY
-                    }
-                },
-            );
-            assert!(
-                (tiled - reference).abs() < 1e-9,
-                "tile {tr}x{tc}: {tiled} vs {reference}"
-            );
-        }
-    }
-
-    #[test]
-    fn tiled_dp_equals_untiled_edit_distance() {
-        let p: Vec<f64> = (0..17).map(|i| ((i * 7) % 5) as f64).collect();
-        let q: Vec<f64> = (0..21).map(|i| ((i * 3) % 4) as f64).collect();
-        let reference = EditDistance::new(0.1).distance(&p, &q).unwrap();
-        let tiled = tiled_dp(
-            &p,
-            &q,
-            6,
-            5,
-            0.0,
-            |j| j as f64,
-            |i| i as f64,
-            |diag, up, left, pi, qj| {
-                let subst = if (pi - qj).abs() <= 0.1 {
-                    diag
-                } else {
-                    diag + 1.0
-                };
-                subst.min(up + 1.0).min(left + 1.0)
-            },
-        );
-        assert!((tiled - reference).abs() < 1e-9);
     }
 }

@@ -2,7 +2,7 @@
 //! mining primitives over TCP, with graceful drain on SIGINT/SIGTERM.
 //!
 //! ```text
-//! mda-server [--addr HOST:PORT] [--workers N] [--chunk-size N]
+//! mda-server [--addr HOST:PORT] [--workers N]
 //!            [--max-queue-items N] [--batch-max-items N]
 //!            [--default-deadline-ms MS] [--max-connections N]
 //!            [--max-pipeline-depth N] [--write-high-water BYTES]
@@ -41,7 +41,7 @@ fn install_signal_handlers() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mda-server [--addr HOST:PORT] [--workers N] [--chunk-size N]\n\
+        "usage: mda-server [--addr HOST:PORT] [--workers N]\n\
          \x20                 [--max-queue-items N] [--batch-max-items N]\n\
          \x20                 [--default-deadline-ms MS] [--max-connections N]\n\
          \x20                 [--max-pipeline-depth N] [--write-high-water BYTES]\n\
@@ -66,9 +66,6 @@ fn parse_args() -> ServerConfig {
         match flag.as_str() {
             "--addr" => config.addr = value("--addr"),
             "--workers" => config.workers = Some(parse_num(&value("--workers"), "--workers")),
-            "--chunk-size" => {
-                config.chunk_size = Some(parse_num(&value("--chunk-size"), "--chunk-size"));
-            }
             "--max-queue-items" => {
                 config.max_queue_items =
                     parse_num(&value("--max-queue-items"), "--max-queue-items");

@@ -191,7 +191,7 @@ pub struct SearchOutcome {
 pub struct StreamOpen {
     /// Server-assigned stream id — quote it on every subsequent verb.
     pub stream_id: u64,
-    /// Consistent-hash shard the stream is pinned to.
+    /// Shard the stream runs on; the server always replies `0`.
     pub shard: u32,
     /// Points the stream must see before subscribers get ready frames.
     pub burn_in: u64,

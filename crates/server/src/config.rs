@@ -24,8 +24,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Engine worker threads (`None` = available parallelism).
     pub workers: Option<usize>,
-    /// Engine chunk size (`None` = engine default).
-    pub chunk_size: Option<usize>,
     /// Admission-control capacity: max work items queued before shedding.
     pub max_queue_items: usize,
     /// Coalescing budget: max work items per dispatched batch.
@@ -57,7 +55,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: None,
-            chunk_size: None,
             max_queue_items: 4096,
             batch_max_items: 1024,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -77,14 +74,11 @@ impl ServerConfig {
     /// # Errors
     ///
     /// [`ConfigError`] naming the offending field: zero worker count, zero
-    /// chunk size, zero queue capacity, zero batch budget, or a frame cap
-    /// too small to carry a request.
+    /// queue capacity, zero batch budget, or a frame cap too small to carry
+    /// a request.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == Some(0) {
             return Err(ConfigError("`workers` must be at least 1".into()));
-        }
-        if self.chunk_size == Some(0) {
-            return Err(ConfigError("`chunk_size` must be at least 1".into()));
         }
         if self.max_queue_items == 0 {
             return Err(ConfigError("`max_queue_items` must be at least 1".into()));
@@ -131,9 +125,8 @@ mod tests {
     #[test]
     fn zero_values_are_rejected_with_field_names() {
         type Mutator = fn(&mut ServerConfig);
-        let cases: [(Mutator, &str); 10] = [
+        let cases: [(Mutator, &str); 9] = [
             (|c| c.workers = Some(0), "workers"),
-            (|c| c.chunk_size = Some(0), "chunk_size"),
             (|c| c.max_queue_items = 0, "max_queue_items"),
             (|c| c.batch_max_items = 0, "batch_max_items"),
             (|c| c.max_frame_bytes = 8, "max_frame_bytes"),

@@ -108,8 +108,7 @@ pub use protocol::{
 };
 pub use server::{Server, ServerError};
 pub use streams::{
-    CloseOutcome, ConsistentRing, OpenOutcome, PushOutcome, RegistryError, StreamRegistry,
-    SubscribeOutcome,
+    CloseOutcome, OpenOutcome, PushOutcome, RegistryError, StreamRegistry, SubscribeOutcome,
 };
 
 // Routing vocabulary used by the request surface, re-exported so clients

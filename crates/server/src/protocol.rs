@@ -82,12 +82,12 @@
 //! {"id": 23, "op": "close_stream", "stream_id": 1}
 //! ```
 //!
-//! `open_stream` replies with the assigned `stream_id`, the consistent-hash
-//! `shard` the stream is pinned to, and its `burn_in` (pushes before the
-//! first ready frame). After `subscribe`, every accepted push produces one
-//! unsolicited event frame on the subscriber's connection, carrying the
-//! **subscribe request's id** and the operator `epoch` so consumers detect
-//! gaps:
+//! `open_stream` replies with the assigned `stream_id`, a `shard` that is
+//! always `0` (one event loop serves every stream), and its `burn_in`
+//! (pushes before the first ready frame). After `subscribe`, every accepted
+//! push produces one unsolicited event frame on the subscriber's connection,
+//! carrying the **subscribe request's id** and the operator `epoch` so
+//! consumers detect gaps:
 //!
 //! ```json
 //! {"id": 22, "ok": true, "result": {"event": {"stream_id": 1, "epoch": 4,
@@ -1013,7 +1013,8 @@ keyed_enum! {
         StreamOpened {
             /// The assigned stream id — use it in every later stream op.
             stream_id: u64,
-            /// The consistent-hash shard the stream is pinned to.
+            /// The shard the stream runs on; always `0`, as one event
+            /// loop serves every stream.
             shard: u32,
             /// Pushes before the first ready frame.
             burn_in: u64,

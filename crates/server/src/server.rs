@@ -104,9 +104,6 @@ impl Server {
         if let Some(workers) = config.workers {
             engine = engine.with_threads(workers);
         }
-        if let Some(chunk) = config.chunk_size {
-            engine = engine.with_chunk_size(chunk);
-        }
         let listener = std::net::TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -126,9 +123,6 @@ impl Server {
         }));
 
         let dispatcher = queue.spawn_dispatcher(engine);
-        // Streams shard over the same worker count the engine uses; the
-        // ring is the routing seam a multi-worker deployment will honour.
-        let stream_shards = config.workers.unwrap_or(4).max(1) as u32;
         let event_loop = EventLoop {
             config,
             metrics: Arc::clone(&metrics),
@@ -139,7 +133,7 @@ impl Server {
             shutdown: Arc::clone(&shutdown),
             finish: Arc::clone(&finish),
             router: Arc::clone(&router),
-            streams: std::cell::RefCell::new(crate::streams::StreamRegistry::new(stream_shards)),
+            streams: std::cell::RefCell::new(crate::streams::StreamRegistry::new(1)),
             stream_events: std::cell::RefCell::new(Vec::new()),
         };
         let serve = std::thread::Builder::new()

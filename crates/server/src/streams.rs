@@ -1,21 +1,12 @@
-//! Live push-mode streams on the event loop: the stream registry, the
-//! consistent-hash shard ring, and the per-push event fan-out.
+//! Live push-mode streams on the event loop: the stream registry and the
+//! per-push event fan-out.
 //!
 //! Every open stream owns one [`StreamPipeline`] — the five fixed
 //! incremental stages from `mda-streaming` (window → z-norm and envelope
 //! → matcher → tracker) — plus its subscriber list. All state lives on
 //! the event-loop thread (streams are connection-born and the loop is
-//! single-threaded), so pushes mutate without locking.
-//!
-//! ## Sharding seam
-//!
-//! Today one event loop serves every stream; the paper's data-center
-//! framing calls for many workers. [`ConsistentRing`] is the groundwork:
-//! `open_stream` pins each stream id to a stable shard via consistent
-//! hashing (64 virtual nodes per worker), the shard is reported on the
-//! open reply, and growing the worker count relocates only ~1/(n+1) of
-//! the streams. The routing decision is already explicit and tested; a
-//! multi-worker deployment only has to honour it.
+//! single-threaded), so pushes mutate without locking. One event loop
+//! serves every stream, so the `shard` on the open reply is always `0`.
 
 use std::collections::HashMap;
 
@@ -24,63 +15,6 @@ use mda_streaming::{
 };
 
 use crate::protocol::{ErrorCode, MatchRecord, StreamEventBody, StreamEventState};
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over raw bytes — the same digest the replay fingerprint uses,
-/// here keying ring positions.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Virtual nodes per worker: enough that per-worker load variance stays
-/// small without making the ring noticeable to build or search.
-const VNODES_PER_WORKER: u32 = 64;
-
-/// A consistent-hash ring mapping stream ids to worker shards.
-#[derive(Debug, Clone)]
-pub struct ConsistentRing {
-    /// `(position, worker)` sorted by position.
-    points: Vec<(u64, u32)>,
-    workers: u32,
-}
-
-impl ConsistentRing {
-    /// Builds a ring over `workers` shards (clamped to at least 1).
-    pub fn new(workers: u32) -> ConsistentRing {
-        let workers = workers.max(1);
-        let mut points = Vec::with_capacity((workers * VNODES_PER_WORKER) as usize);
-        for worker in 0..workers {
-            for replica in 0..VNODES_PER_WORKER {
-                let mut key = [0u8; 8];
-                key[..4].copy_from_slice(&worker.to_le_bytes());
-                key[4..].copy_from_slice(&replica.to_le_bytes());
-                points.push((fnv1a(&key), worker));
-            }
-        }
-        points.sort_unstable();
-        ConsistentRing { points, workers }
-    }
-
-    /// The number of shards the ring routes over.
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// The shard owning `stream_id`: the first ring point at or after the
-    /// id's hash, wrapping to the smallest point.
-    pub fn route(&self, stream_id: u64) -> u32 {
-        let h = fnv1a(&stream_id.to_le_bytes());
-        let idx = self.points.partition_point(|&(pos, _)| pos < h);
-        self.points[idx % self.points.len()].1
-    }
-}
 
 /// Why a registry operation failed.
 #[derive(Debug)]
@@ -116,7 +50,8 @@ impl RegistryError {
 pub struct OpenOutcome {
     /// Assigned stream id.
     pub stream_id: u64,
-    /// Consistent-hash shard the stream is pinned to.
+    /// Shard the stream runs on; always `0`, since one event loop serves
+    /// every stream.
     pub shard: u32,
     /// Pushes before the first ready frame.
     pub burn_in: u64,
@@ -157,7 +92,6 @@ pub struct CloseOutcome {
 struct StreamEntry {
     pipeline: StreamPipeline,
     burn_in: u64,
-    shard: u32,
     /// `(connection token, subscribe request id)`.
     subscribers: Vec<(u64, u64)>,
     /// Cascade outcomes over this stream's warm pushes.
@@ -166,24 +100,18 @@ struct StreamEntry {
 
 /// Every open stream on this event loop.
 pub struct StreamRegistry {
-    ring: ConsistentRing,
     next_id: u64,
     streams: HashMap<u64, StreamEntry>,
 }
 
 impl StreamRegistry {
-    /// An empty registry routing over `workers` shards.
-    pub fn new(workers: u32) -> StreamRegistry {
+    /// An empty registry. `_workers` is ignored: one event loop serves
+    /// every stream.
+    pub fn new(_workers: u32) -> StreamRegistry {
         StreamRegistry {
-            ring: ConsistentRing::new(workers),
             next_id: 1,
             streams: HashMap::new(),
         }
-    }
-
-    /// The shard ring (exposed for routing tests and future workers).
-    pub fn ring(&self) -> &ConsistentRing {
-        &self.ring
     }
 
     /// Opens a stream, validating its configuration.
@@ -196,20 +124,18 @@ impl StreamRegistry {
         let pipeline = StreamPipeline::new(config)?;
         let stream_id = self.next_id;
         self.next_id += 1;
-        let shard = self.ring.route(stream_id);
         self.streams.insert(
             stream_id,
             StreamEntry {
                 pipeline,
                 burn_in,
-                shard,
                 subscribers: Vec::new(),
                 cascade: PruneFrameStats::default(),
             },
         );
         Ok(OpenOutcome {
             stream_id,
-            shard,
+            shard: 0,
             burn_in,
         })
     }
@@ -309,11 +235,6 @@ impl StreamRegistry {
         dropped
     }
 
-    /// The shard a currently-open stream is pinned to.
-    pub fn shard_of(&self, stream_id: u64) -> Option<u32> {
-        self.streams.get(&stream_id).map(|e| e.shard)
-    }
-
     /// Cascade outcome counts over a stream's warm pushes.
     pub fn cascade_stats(&self, stream_id: u64) -> Option<PruneFrameStats> {
         self.streams.get(&stream_id).map(|e| e.cascade)
@@ -397,58 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_routing_is_deterministic_and_covers_every_worker() {
-        let ring = ConsistentRing::new(4);
-        let mut seen = [false; 4];
-        for id in 0..10_000u64 {
-            let shard = ring.route(id);
-            assert_eq!(shard, ring.route(id), "route must be a pure function");
-            assert!(shard < 4);
-            seen[shard as usize] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "some worker owns no keys: {seen:?}"
-        );
-    }
-
-    #[test]
-    fn ring_growth_moves_only_a_minority_of_keys_onto_the_new_worker() {
-        let before = ConsistentRing::new(4);
-        let after = ConsistentRing::new(5);
-        let ids: Vec<u64> = (0..10_000).collect();
-        let mut moved = 0usize;
-        for &id in &ids {
-            let (a, b) = (before.route(id), after.route(id));
-            if a != b {
-                moved += 1;
-                // Consistent hashing's defining property: a key only moves
-                // when the NEW worker claims it.
-                assert_eq!(b, 4, "stream {id} moved {a}→{b}, not to the new worker");
-            }
-        }
-        // Expected share ≈ 1/5 = 2000; allow generous variance, but far
-        // below the ~8000 a mod-N rehash would relocate.
-        assert!(
-            (500..4_000).contains(&moved),
-            "moved {moved} of {} keys",
-            ids.len()
-        );
-    }
-
-    #[test]
-    fn ring_clamps_to_one_worker() {
-        let ring = ConsistentRing::new(0);
-        assert_eq!(ring.workers(), 1);
-        assert_eq!(ring.route(123), 0);
-    }
-
-    #[test]
     fn open_push_subscribe_close_lifecycle() {
         let mut reg = StreamRegistry::new(4);
         let opened = reg.open(config(4)).unwrap();
         assert_eq!(opened.burn_in, 4);
-        assert_eq!(opened.shard, reg.ring().route(opened.stream_id));
+        assert_eq!(opened.shard, 0);
         assert_eq!(reg.open_count(), 1);
 
         let sub = reg.subscribe(opened.stream_id, 7, 99).unwrap();
@@ -478,7 +352,6 @@ mod tests {
             StreamEventState::Ready { .. }
         ));
         assert!(reg.subscribe(opened.stream_id, 8, 100).unwrap().warm);
-        assert_eq!(reg.shard_of(opened.stream_id), Some(opened.shard));
         assert!(
             reg.cascade_stats(opened.stream_id).unwrap().total() >= 1,
             "warm pushes must run the cascade"

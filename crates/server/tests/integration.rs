@@ -1245,3 +1245,32 @@ fn live_subscriptions_deliver_gap_free_differential_events() {
     );
     server.shutdown_and_join();
 }
+
+#[test]
+fn open_stream_replies_carry_shard_zero() {
+    // Several engine workers, yet one event loop serves every stream, so
+    // each open reply names shard 0.
+    let server = start(ServerConfig {
+        workers: Some(4),
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    for id in 1..=3u64 {
+        let open = Envelope {
+            id,
+            req: Request::OpenStream {
+                threshold: None,
+                window: 4,
+                band: 1,
+                query: vec![0.0, 1.0, 0.5, -1.0],
+            },
+        };
+        write_frame(&mut writer, &encode_request(&open)).expect("write open_stream");
+        let payload = read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES).expect("open reply");
+        let text = String::from_utf8(payload).expect("utf-8 reply");
+        assert!(text.contains(r#""shard":0"#), "{text}");
+    }
+    server.shutdown_and_join();
+}

@@ -17,13 +17,13 @@
 //! * **waveform measurements** ([`waveform`]), in particular the paper's
 //!   convergence-time definition: the time at which the output settles
 //!   within 0.1 % of its final value;
-//! * dense and sparse LU solvers ([`solver`], [`sparse`]) behind an
-//!   allocation-free, structure-caching core: element stamps are compiled
-//!   once into a CSR *stamp plan*, the LU pivot order and fill-in are
-//!   computed once and numerically refactored in place across Newton
-//!   iterations and timesteps, and [`stats::SolveStats`] reports what the
-//!   solver actually did (the frozen pre-plan path survives in [`legacy`]
-//!   as a golden reference).
+//! * dense and sparse LU factorizations behind the allocation-free,
+//!   structure-caching core of [`mna`]: element stamps are compiled once
+//!   into a CSR *stamp plan*, the LU pivot order and fill-in are computed
+//!   once and numerically refactored in place across Newton iterations and
+//!   timesteps, and [`stats::SolveStats`] reports what the solver actually
+//!   did (the frozen pre-plan path survives in [`legacy`] as a golden
+//!   reference).
 //!
 //! ## Example: RC step response
 //!
@@ -54,8 +54,7 @@ pub mod legacy;
 mod lu;
 pub mod mna;
 pub mod netlist;
-pub mod solver;
-pub mod sparse;
+mod solver;
 mod stamp;
 pub mod stats;
 pub mod transient;

@@ -6,11 +6,11 @@
 //! current Newton iterate; integration uses backward-Euler companion models
 //! for capacitors and the op-amp pole.
 //!
-//! The hot path lives in [`MnaSystem`], a persistent workspace built once
-//! per analysis: a [`crate::stamp::StampPlan`] turns per-iteration assembly
+//! The hot path lives in `MnaSystem`, a persistent workspace built once
+//! per analysis: a `StampPlan` (`stamp.rs`) turns per-iteration assembly
 //! into `values.fill(0.0)` plus indexed adds, and a structure-caching LU
-//! backend ([`crate::solver::DenseLu`] below [`SPARSE_THRESHOLD`] unknowns,
-//! [`crate::lu::SparseLu`] above) factors once and then refactors or even
+//! backend (`DenseLu` in `solver.rs` below `SPARSE_THRESHOLD` unknowns,
+//! `SparseLu` in `lu.rs` above) factors once and then refactors or even
 //! reuses factors across Newton iterations and timesteps. Every solve is
 //! allocation-free after construction.
 

@@ -1,10 +1,10 @@
 //! Dense linear solver: LU factorization with partial pivoting.
 //!
 //! MNA matrices for single-PE circuits are small (tens of unknowns), where a
-//! dense solve beats sparse bookkeeping. Larger array-level netlists use
-//! [`crate::sparse`] / [`crate::lu`].
+//! dense solve beats sparse bookkeeping. Larger array-level netlists use the
+//! sparse `SparseLu` in `lu.rs`.
 //!
-//! The workhorse is [`DenseLu`], a preallocated workspace reused across
+//! The workhorse is `DenseLu`, a preallocated workspace reused across
 //! Newton iterations and timesteps: factors, permutation and substitution
 //! scratch live in place, rows are swapped physically during pivoting so
 //! the elimination inner loop runs over contiguous memory with no
@@ -12,64 +12,6 @@
 //! `b.to_vec()`).
 
 use crate::error::SpiceError;
-
-/// A dense row-major square matrix (assembly/test convenience type).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
-    n: usize,
-    data: Vec<f64>,
-}
-
-impl DenseMatrix {
-    /// An `n x n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
-        DenseMatrix {
-            n,
-            data: vec![0.0; n * n],
-        }
-    }
-
-    /// The dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Resets all entries to zero (for re-stamping without reallocation).
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Adds `v` to entry `(r, c)`.
-    #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(r < self.n && c < self.n);
-        self.data[r * self.n + c] += v;
-    }
-
-    /// Entry `(r, c)`.
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.n + c]
-    }
-
-    /// Solves `A·x = b` through a fresh [`DenseLu`] workspace. The matrix
-    /// is only borrowed — no defensive copies needed by callers that reuse
-    /// it afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] if a pivot collapses below
-    /// `1e-300`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SpiceError> {
-        assert_eq!(b.len(), self.n, "rhs length must match dimension");
-        let mut lu = DenseLu::new(self.n);
-        lu.factor_from_slice(&self.data)?;
-        let mut x = b.to_vec();
-        let mut y = vec![0.0; self.n];
-        lu.solve_in_place(&mut x, &mut y);
-        Ok(x)
-    }
-}
 
 /// A reusable dense LU workspace: preallocated factor storage and pivot
 /// bookkeeping, refilled and refactored in place every solve.
@@ -108,17 +50,6 @@ impl DenseLu {
         for (i, &p) in dense_pos.iter().enumerate() {
             self.factors[p as usize] = values[i];
         }
-        self.factor_inner()
-    }
-
-    /// Copies a full row-major matrix into the workspace and factors it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] on pivot collapse.
-    pub(crate) fn factor_from_slice(&mut self, data: &[f64]) -> Result<(), SpiceError> {
-        debug_assert_eq!(data.len(), self.n * self.n);
-        self.factors.copy_from_slice(data);
         self.factor_inner()
     }
 
@@ -196,25 +127,38 @@ impl DenseLu {
 mod tests {
     use super::*;
 
+    /// Factors the `n x n` matrix whose non-zeros are `entries`
+    /// (`(row, col, value)`, one per position) through the scatter entry
+    /// the MNA assembly uses.
+    fn factor(n: usize, entries: &[(usize, usize, f64)]) -> Result<DenseLu, SpiceError> {
+        let dense_pos: Vec<u32> = entries
+            .iter()
+            .map(|&(r, c, _)| (r * n + c) as u32)
+            .collect();
+        let values: Vec<f64> = entries.iter().map(|&(_, _, v)| v).collect();
+        let mut lu = DenseLu::new(n);
+        lu.factor_scattered(&dense_pos, &values)?;
+        Ok(lu)
+    }
+
+    fn solve(lu: &DenseLu, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        let mut y = vec![0.0; b.len()];
+        lu.solve_in_place(&mut x, &mut y);
+        x
+    }
+
     #[test]
     fn solves_identity() {
-        let mut m = DenseMatrix::zeros(3);
-        for i in 0..3 {
-            m.add(i, i, 1.0);
-        }
-        let x = m.solve(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![1.0, 2.0, 3.0]);
+        let lu = factor(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]).unwrap();
+        assert_eq!(solve(&lu, &[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn solves_general_system() {
         // [2 1; 1 3] x = [5; 10] -> x = [1; 3].
-        let mut m = DenseMatrix::zeros(2);
-        m.add(0, 0, 2.0);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        m.add(1, 1, 3.0);
-        let x = m.solve(&[5.0, 10.0]).unwrap();
+        let lu = factor(2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)]).unwrap();
+        let x = solve(&lu, &[5.0, 10.0]);
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -222,23 +166,16 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_diagonal() {
         // [0 1; 1 0] x = [2; 3] -> x = [3; 2].
-        let mut m = DenseMatrix::zeros(2);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        let x = m.solve(&[2.0, 3.0]).unwrap();
+        let lu = factor(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let x = solve(&lu, &[2.0, 3.0]);
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_matrix_detected() {
-        let mut m = DenseMatrix::zeros(2);
-        m.add(0, 0, 1.0);
-        m.add(0, 1, 2.0);
-        m.add(1, 0, 2.0);
-        m.add(1, 1, 4.0);
         assert!(matches!(
-            m.solve(&[1.0, 2.0]),
+            factor(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)]),
             Err(SpiceError::SingularMatrix { .. })
         ));
     }
@@ -247,18 +184,15 @@ mod tests {
     fn wide_dynamic_range() {
         // Conductance stamps span ~1e-5 .. 10 in the accelerator circuits;
         // the solver must stay accurate across that spread.
-        let mut m = DenseMatrix::zeros(2);
-        m.add(0, 0, 1.0e-5);
-        m.add(1, 1, 10.0);
-        let x = m.solve(&[1.0e-5, 10.0]).unwrap();
+        let lu = factor(2, &[(0, 0, 1.0e-5), (1, 1, 10.0)]).unwrap();
+        let x = solve(&lu, &[1.0e-5, 10.0]);
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert!((x[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn random_roundtrip() {
-        // Deterministic pseudo-random matrix; verify A*x = b residual. The
-        // borrow-based solve leaves the matrix intact — no defensive clone.
+        // Deterministic pseudo-random matrix; verify A*x = b residual.
         let n = 20;
         let mut seed = 12345u64;
         let mut rand = || {
@@ -267,20 +201,20 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
-        let mut m = DenseMatrix::zeros(n);
+        let mut entries = Vec::with_capacity(n * n);
         for r in 0..n {
             for c in 0..n {
-                m.add(r, c, rand());
+                let diagonal_dominance = if r == c { 5.0 } else { 0.0 };
+                entries.push((r, c, rand() + diagonal_dominance));
             }
-            m.add(r, r, 5.0); // diagonal dominance
         }
         let b: Vec<f64> = (0..n).map(|_| rand()).collect();
-        let x = m.solve(&b).unwrap();
+        let x = solve(&factor(n, &entries).unwrap(), &b);
         for (r, &br) in b.iter().enumerate() {
-            let mut sum = 0.0;
-            for (c, &xc) in x.iter().enumerate() {
-                sum += m.at(r, c) * xc;
-            }
+            let sum: f64 = entries[r * n..(r + 1) * n]
+                .iter()
+                .map(|&(_, c, v)| v * x[c])
+                .sum();
             assert!((sum - br).abs() < 1e-9, "row {r} residual");
         }
     }
@@ -288,16 +222,12 @@ mod tests {
     #[test]
     fn workspace_reuse_is_stable() {
         // Factor the same workspace twice with different matrices; the
-        // second use must not see stale state.
+        // second scatter leaves the first one's positions unset, so it
+        // must not see their stale factors.
         let mut lu = DenseLu::new(2);
-        lu.factor_from_slice(&[0.0, 1.0, 1.0, 0.0]).unwrap();
-        let mut x = vec![2.0, 3.0];
-        let mut y = vec![0.0; 2];
-        lu.solve_in_place(&mut x, &mut y);
-        assert_eq!(x, vec![3.0, 2.0]);
-        lu.factor_from_slice(&[2.0, 0.0, 0.0, 4.0]).unwrap();
-        let mut x = vec![2.0, 4.0];
-        lu.solve_in_place(&mut x, &mut y);
-        assert_eq!(x, vec![1.0, 1.0]);
+        lu.factor_scattered(&[1, 2], &[1.0, 1.0]).unwrap();
+        assert_eq!(solve(&lu, &[2.0, 3.0]), vec![3.0, 2.0]);
+        lu.factor_scattered(&[0, 3], &[2.0, 4.0]).unwrap();
+        assert_eq!(solve(&lu, &[2.0, 4.0]), vec![1.0, 1.0]);
     }
 }

@@ -56,5 +56,5 @@ pub use ops::{
     TrackFrame, Value, WindowFrame,
 };
 pub use pipeline::{PushResult, StreamConfig, StreamPipeline, MAX_WINDOW};
-pub use replay::{replay, replay_gated, ReplayConfig, ReplayOutcome, ReplaySpeed, VirtualClock};
+pub use replay::{replay, ReplayConfig, ReplayOutcome, ReplaySpeed, VirtualClock};
 pub use window::SlidingWindow;

@@ -8,7 +8,6 @@
 //! recorded traces (including the conformance trace families) usable as
 //! byte-stable regression fixtures and for backtesting threshold choices.
 
-use crate::differential::{check_series, DifferentialError, DifferentialReport};
 use crate::error::StreamError;
 use crate::ops::{BestMatch, Output, PruneFrameStats, Value};
 use crate::pipeline::{StreamConfig, StreamPipeline};
@@ -262,21 +261,6 @@ pub fn replay(
     Ok(outcome)
 }
 
-/// Replays `points` while also running the differential gate at every
-/// push — the strict form used by conformance and the bench identity
-/// gate.
-///
-/// # Errors
-///
-/// Typed [`DifferentialError`] — a mismatch names the epoch and
-/// operator.
-pub fn replay_gated(
-    stream: &StreamConfig,
-    points: &[f64],
-) -> Result<DifferentialReport, DifferentialError> {
-    check_series(stream, points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,11 +322,5 @@ mod tests {
     fn zero_speed_is_rejected() {
         assert!(ReplaySpeed::times(0).is_err());
         assert!(ReplaySpeed::ratio(1, 0).is_err());
-    }
-
-    #[test]
-    fn gated_replay_passes_on_the_recording() {
-        let report = replay_gated(&stream_config(), &recording()).unwrap();
-        assert_eq!(report.pushes, 150);
     }
 }
