@@ -18,7 +18,7 @@
 //! * [`cell`] — interval cells with variation-aware margin calibration
 //!   (guard bands only ever *widen* the acceptance window) and
 //!   [`mda_memristor::CellFault`] degradation to always-match;
-//! * [`array`] — words of cells with match-line AND semantics and
+//! * [`array`](mod@array) — words of cells with match-line AND semantics and
 //!   mismatch-count readout;
 //! * [`encoder`] — programs a query's Lemire envelope
 //!   ([`mda_distance::lower_bounds::envelope`]) into interval cells, so a

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! conformance [--quick] [--seed N] [--cases N] [--out DIR] [--report FILE]
-//!             [--no-server] [--no-spice] [--no-faults] [--no-streaming]
+//!             [--no-server] [--no-faults]
 //! conformance --replay FILE
 //! ```
 //!
@@ -50,15 +50,12 @@ fn parse_args() -> Result<Args, String> {
             "--out" => config.out_dir = PathBuf::from(value("--out")?),
             "--report" => report_path = PathBuf::from(value("--report")?),
             "--no-server" => config.with_server = false,
-            "--no-spice" => config.with_spice = false,
             "--no-faults" => config.with_faults = false,
-            "--no-streaming" => config.with_streaming = false,
             "--replay" => replay_path = Some(PathBuf::from(value("--replay")?)),
             "--help" | "-h" => {
                 return Err(
                     "usage: conformance [--quick] [--seed N] [--cases N] [--out DIR] \
-                            [--report FILE] [--no-server] [--no-spice] [--no-faults] \
-                            [--no-streaming] | --replay FILE"
+                            [--report FILE] [--no-server] [--no-faults] | --replay FILE"
                         .into(),
                 )
             }

@@ -23,7 +23,7 @@
 //! the admissibility contract the search pre-filter is built on.
 
 use mda_acam::{MarginPolicy, OneShotMatcher};
-use mda_core::{pe, AcceleratorConfig};
+use mda_core::{bounds, pe, AcceleratorConfig};
 use mda_distance::DistanceKind;
 use mda_memristor::tuning::{try_tune_ratio, PulseSchedule, TuningError};
 use mda_memristor::{BiolekParams, CellFault, FaultyMemristor, Memristor, ProcessVariation};
@@ -31,7 +31,6 @@ use mda_server::client::{Client, QueryOptions};
 use mda_server::json::Json;
 use mda_server::{ClientError, ErrorCode};
 
-use crate::bounds;
 use crate::rng::SplitRng;
 
 /// Reference resistance all ratios are tuned against, Ω.

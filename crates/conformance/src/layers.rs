@@ -1,13 +1,19 @@
-//! Layer adapters: run one [`CaseSpec`] through each of the four stacked
-//! implementations and report what came back.
+//! Layer adapters: run one [`CaseSpec`] through each implementation under
+//! test and report what came back.
 //!
 //! * **reference** — the digital DP library, constructed exactly the way
 //!   `mda-server`'s executor builds it, so the reference here *is* the
-//!   served semantics (threshold defaulting, banding, similarity signs);
-//! * **behavioural** — `DistanceAccelerator` with the paper-default fabric
-//!   and the case's own noise seed;
-//! * **spice** — the device-level PE netlists solved by the PR-2 MNA core
-//!   (size-gated: matrix PEs grow O(m·n) nodes, so only tiny cases run);
+//!   served semantics (threshold defaulting, banding, similarity signs).
+//!   It calls `mda-distance` directly: it is the oracle, so it stays
+//!   independent of every backend under test;
+//! * **behavioural**, **spice**, **acam** — the in-process analog layers,
+//!   each one of `mda-routing`'s served backends ([`BACKEND_LAYERS`]):
+//!   the behavioural array model on the case's own noise seed, the
+//!   device-level PE netlists solved by the MNA core (size-gated by
+//!   [`DistanceBackend::supports`]: matrix PEs grow O(m·n) nodes), and the
+//!   tuned one-shot aCAM match plane for the thresholded kinds, whose
+//!   interval comparators must reproduce the digital comparator on every
+//!   cell, boundary-stratum cases on `|a − b| = threshold` included;
 //! * **server** — a loopback `mda-server` round-trip through the real TCP
 //!   wire protocol;
 //! * **server_resident** — the same loopback server queried through the
@@ -18,42 +24,31 @@
 //!   backend the router picks, the reply must report it, the reported
 //!   bound must fit the SLA, and the served value must land within the
 //!   tolerance of the digital reference;
-//! * **acam** — the one-shot aCAM match plane for the thresholded kinds
-//!   (HamD, thresholded EdD/LCS): a tuned array's interval comparators
-//!   must reproduce the digital comparator on every cell, including the
-//!   boundary-stratum cases that sit exactly on `|a − b| = threshold`.
+//! * **streaming_differential** — the case replayed as a push-mode stream
+//!   whose every incremental operator output must equal its from-scratch
+//!   batch recomputation bitwise.
 
-use mda_acam::OneShotMatcher;
-use mda_core::accelerator::FunctionParams;
-use mda_core::{pe, AcceleratorConfig, AcceleratorError, DistanceAccelerator};
+use mda_core::AcceleratorConfig;
 use mda_distance::dtw::Band;
 use mda_distance::{
-    Distance, DistanceError, DistanceKind, Dtw, EditDistance, Hamming, Hausdorff, Lcs, Manhattan,
+    Distance, DistanceError, DistanceKind, DpScratch, Dtw, EditDistance, Hamming, Hausdorff, Lcs,
+    Manhattan,
+};
+use mda_routing::{
+    default_backends, BackendError, BackendId, BackendSet, DistanceBackend, PairRequest,
 };
 use mda_server::client::{Client, QueryOptions};
 use mda_server::{ClientError, DatasetEntry, DatasetRef, RouteInfo, Sla};
 
 use crate::case::CaseSpec;
 
-/// The analog fabric's *output* ceiling in value units: the readout ADC
-/// clamps at ±half its full scale, so distances above this saturate
-/// (25 units at paper defaults: 1 V full scale, 20 mV/unit). The analog
-/// layers are therefore judged against the reference clamped to this
-/// ceiling — saturating there is correct accelerator behaviour, not a
-/// disagreement. The server layer always compares against the raw digital
-/// value. (This is distinct from `max_encodable_value`, which caps the
-/// *input* DAC at ±6.25 units.)
-pub fn encodable_ceiling() -> f64 {
-    let config = AcceleratorConfig::paper_defaults();
-    config.adc.full_scale / 2.0 / config.voltage_resolution
-}
-
-/// Largest per-side length for which the matrix-structure SPICE netlists
-/// (DTW/LCS/EdD/HauD) are solved.
-pub const SPICE_MATRIX_CAP: usize = 3;
-/// Largest length for which the row-structure SPICE netlists (HamD/MD) are
-/// solved.
-pub const SPICE_ROW_CAP: usize = 8;
+/// The in-process layers and the served backend each one runs, in report
+/// order.
+pub const BACKEND_LAYERS: [(&str, BackendId); 3] = [
+    ("behavioural", BackendId::Analog),
+    ("spice", BackendId::Spice),
+    ("acam", BackendId::Acam),
+];
 
 /// The digital reference value, mirroring `mda-server`'s executor: the
 /// same `Distance` constructors, the same threshold default, the same
@@ -80,71 +75,50 @@ pub fn reference(case: &CaseSpec) -> Result<f64, DistanceError> {
     }
 }
 
-/// The behavioural accelerator value for a case, using the case's noise
-/// seed so the analog error model is reproducible per case.
-///
-/// # Errors
-///
-/// Configuration or computation errors from the accelerator.
-pub fn behavioural(case: &CaseSpec) -> Result<f64, AcceleratorError> {
+/// The backends a case is judged through: the paper-default fabric with
+/// the case's own noise seed, so the behavioural error model is
+/// reproducible per case. Only the behavioural graph builder reads the
+/// seed; the SPICE and aCAM answers do not depend on it.
+pub fn backends(case: &CaseSpec) -> BackendSet {
     let mut config = AcceleratorConfig::paper_defaults();
     config.noise_seed = case.noise_seed;
-    let mut acc = DistanceAccelerator::new(config);
-    let band = match case.band {
-        Some(r) => Band::SakoeChiba(r),
-        None => Band::Full,
-    };
-    acc.configure_with(
-        case.kind,
-        FunctionParams {
-            threshold: case.threshold,
-            weight: 1.0,
-            band,
-        },
-    )?;
-    acc.settle(&case.p, &case.q, None)
+    BackendSet::new(config)
 }
 
-/// Whether the SPICE layer runs this case, and if not, why not.
-pub fn spice_eligibility(case: &CaseSpec) -> Result<(), &'static str> {
-    if case.band.is_some() {
+/// Whether the layer served by `backend` runs this case, and if not, why
+/// not.
+pub fn eligibility(backend: &dyn DistanceBackend, case: &CaseSpec) -> Result<(), &'static str> {
+    if !backend.supports(case.kind, case.p.len().max(case.q.len())) {
+        return Err("outside the backend's kinds or size cap");
+    }
+    match backend.id() {
+        // A tuned match plane is exact, so it runs on knife-edge cases
+        // too: that is where the inclusive comparator's equality arm is
+        // exercised.
+        BackendId::Acam => Ok(()),
         // The device netlists hard-wire the full recurrence fabric.
-        return Err("banded DTW has no SPICE netlist");
-    }
-    if case.knife_edge() {
+        BackendId::Spice if case.band.is_some() => Err("banded DTW has no SPICE netlist"),
         // A boundary-stratum pair flips an analog comparator on sub-LSB
-        // noise; no device-level bound is meaningful there.
-        return Err("knife-edge case has no meaningful analog bound");
+        // noise; no analog bound is meaningful there.
+        _ if case.knife_edge() => Err("knife-edge case has no meaningful analog bound"),
+        _ => Ok(()),
     }
-    let (m, n) = (case.p.len(), case.q.len());
-    if case.kind.uses_matrix_structure() {
-        if m.max(n) > SPICE_MATRIX_CAP {
-            return Err("matrix netlist above size cap");
-        }
-    } else if m.max(n) > SPICE_ROW_CAP {
-        return Err("row netlist above size cap");
-    }
-    Ok(())
 }
 
-/// The device-level SPICE value for an eligible case.
+/// The value `backend` serves for this case, requested with the case's
+/// threshold and band.
 ///
 /// # Errors
 ///
-/// Encoding-range or solver errors from the PE netlists.
-pub fn spice(case: &CaseSpec) -> Result<f64, AcceleratorError> {
-    let config = AcceleratorConfig::paper_defaults();
-    let (p, q) = (case.p.as_slice(), case.q.as_slice());
-    match case.kind {
-        DistanceKind::Dtw => pe::dtw::evaluate_dc(&config, p, q, 1.0),
-        DistanceKind::Lcs => pe::lcs::evaluate_dc(&config, p, q, case.threshold, 1.0),
-        DistanceKind::Edit => pe::edit::evaluate_dc(&config, p, q, case.threshold),
-        DistanceKind::Hausdorff => pe::hausdorff::evaluate_dc(&config, p, q, 1.0),
-        DistanceKind::Hamming => {
-            pe::hamming::evaluate_dc(&config, p, q, case.threshold, &vec![1.0; p.len()])
-        }
-        DistanceKind::Manhattan => pe::manhattan::evaluate_dc(&config, p, q, &vec![1.0; p.len()]),
-    }
+/// Whatever the backend reports: shape rejections, encoding-range or
+/// solver failures, unsupported request shapes.
+pub fn evaluate(backend: &dyn DistanceBackend, case: &CaseSpec) -> Result<f64, BackendError> {
+    let req = PairRequest {
+        kind: case.kind,
+        threshold: Some(case.threshold),
+        band: case.band,
+    };
+    backend.evaluate(&req, &case.p, &case.q, &mut DpScratch::new())
 }
 
 /// The value served by a live `mda-server` for this case.
@@ -163,8 +137,9 @@ pub fn server(client: &mut Client, case: &CaseSpec) -> Result<f64, ClientError> 
 /// router can provably satisfy on the analog path, so eligible cases
 /// exercise analog routing rather than trivially staying digital.
 pub fn routed_tolerance(case: &CaseSpec) -> f64 {
+    let analog = default_backends().analog();
     let len = case.p.len().max(case.q.len());
-    mda_core::bounds::behavioural(case.kind, len).margin(encodable_ceiling())
+    analog.bound(case.kind, len).margin(analog.ceiling())
 }
 
 /// The value served under an explicit tolerance SLA, plus the routing
@@ -215,28 +190,6 @@ pub fn server_resident(client: &mut Client, case: &CaseSpec) -> Result<f64, Clie
     } else {
         outcome.score
     })
-}
-
-/// Whether the one-shot aCAM layer runs this case, and if not, why not.
-pub fn acam_eligibility(case: &CaseSpec) -> Result<(), &'static str> {
-    if !case.thresholded() {
-        return Err("no one-shot aCAM evaluation for non-thresholded kinds");
-    }
-    Ok(())
-}
-
-/// The one-shot aCAM match-plane value for an eligible case: a tuned
-/// array (every comparator programmed exactly on the digital threshold, no
-/// guard band), so the value is judged under [`mda_core::bounds::acam`]
-/// but is in fact expected bitwise-identical to the reference — including
-/// on knife-edge cases, where the inclusive comparator's equality arm is
-/// exercised directly.
-///
-/// # Errors
-///
-/// Shape errors from the distance definitions.
-pub fn acam(case: &CaseSpec) -> Result<f64, DistanceError> {
-    OneShotMatcher::new(case.threshold).evaluate(case.kind, &case.p, &case.q)
 }
 
 /// Whether the streaming differential layer runs this case, and if not,
@@ -296,63 +249,79 @@ fn case_opts(case: &CaseSpec) -> QueryOptions {
 mod tests {
     use super::*;
     use crate::case::generate;
+    use mda_core::accelerator::FunctionParams;
+    use mda_core::DistanceAccelerator;
+    use mda_routing::SpiceBackend;
 
     #[test]
     fn reference_matches_direct_library_calls_bitwise() {
         for id in 0..60 {
             let case = generate(99, id);
+            if case.kind != DistanceKind::Dtw || case.band.is_some() {
+                continue;
+            }
             let via_adapter = reference(&case).unwrap();
-            let direct = match case.kind {
-                DistanceKind::Dtw if case.band.is_none() => {
-                    Dtw::new().evaluate(&case.p, &case.q).unwrap()
-                }
-                _ => continue,
-            };
+            let direct = Dtw::new().evaluate(&case.p, &case.q).unwrap();
             assert_eq!(via_adapter.to_bits(), direct.to_bits(), "case {id}");
         }
     }
 
     #[test]
     fn spice_eligibility_gates_by_structure() {
+        let spice = SpiceBackend::default();
+        let mut eligible = 0;
         for id in 0..120 {
             let case = generate(77, id);
-            let (m, n) = (case.p.len(), case.q.len());
-            match spice_eligibility(&case) {
-                Ok(()) => {
-                    if case.kind.uses_matrix_structure() {
-                        assert!(m.max(n) <= SPICE_MATRIX_CAP);
-                    } else {
-                        assert!(m.max(n) <= SPICE_ROW_CAP);
-                    }
-                    assert!(case.band.is_none());
-                }
-                Err(reason) => assert!(!reason.is_empty()),
+            let len = case.p.len().max(case.q.len());
+            let expected =
+                case.band.is_none() && !case.knife_edge() && spice.supports(case.kind, len);
+            assert_eq!(eligibility(&spice, &case).is_ok(), expected, "case {id}");
+            if expected {
+                eligible += 1;
             }
+        }
+        assert!(eligible > 0);
+    }
+
+    /// The behavioural layer answers from the backend's cached settle
+    /// tape; it must be bit-identical to an uncached settle of the same
+    /// seeded fabric.
+    #[test]
+    fn behavioural_layer_is_deterministic_per_case() {
+        for id in 0..60 {
+            let case = generate(5, id);
+            let layer = evaluate(backends(&case).get(BackendId::Analog), &case).unwrap();
+
+            let mut config = AcceleratorConfig::paper_defaults();
+            config.noise_seed = case.noise_seed;
+            let mut acc = DistanceAccelerator::new(config);
+            let band = case.band.map_or(Band::Full, Band::SakoeChiba);
+            let params = FunctionParams {
+                threshold: case.threshold,
+                weight: 1.0,
+                band,
+            };
+            acc.configure_with(case.kind, params).unwrap();
+            let uncached = acc.settle(&case.p, &case.q, None).unwrap();
+            assert_eq!(layer.to_bits(), uncached.to_bits(), "case {id}");
         }
     }
 
     #[test]
-    fn behavioural_layer_is_deterministic_per_case() {
-        let case = generate(5, 17);
-        let a = behavioural(&case).unwrap();
-        let b = behavioural(&case).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
     fn acam_layer_is_bitwise_identical_to_the_reference() {
+        let acam = default_backends().get(BackendId::Acam);
         let mut eligible = 0;
         let mut knife_edges = 0;
         for id in 0..240 {
             let case = generate(31, id);
-            if acam_eligibility(&case).is_err() {
+            if eligibility(acam, &case).is_err() {
                 continue;
             }
             eligible += 1;
             if case.knife_edge() {
                 knife_edges += 1;
             }
-            let one_shot = acam(&case).unwrap();
+            let one_shot = evaluate(acam, &case).unwrap();
             let reference = reference(&case).unwrap();
             assert_eq!(one_shot.to_bits(), reference.to_bits(), "case {id}");
         }
@@ -363,10 +332,11 @@ mod tests {
 
     #[test]
     fn knife_edge_cases_are_excluded_from_the_spice_layer() {
+        let spice = default_backends().get(BackendId::Spice);
         for id in 0..400 {
             let case = generate(23, id);
             if case.knife_edge() {
-                assert!(spice_eligibility(&case).is_err(), "case {id}");
+                assert!(eligibility(spice, &case).is_err(), "case {id}");
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::case::{CaseSpec, Family, LengthClass};
 /// One observed layer disagreement, as recorded in reports/reproducers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Failure {
-    /// Which layer disagreed (`behavioural`, `spice`, `server`).
+    /// Which layer disagreed (a key of the report's `layers` object).
     pub layer: &'static str,
     /// The value that layer produced (`NaN` when it errored instead).
     pub value: f64,

@@ -18,6 +18,7 @@ use mda_conformance::harness::replay;
 use mda_conformance::report::load_case;
 use mda_conformance::{layers, CaseSpec};
 use mda_distance::DistanceKind;
+use mda_routing::{default_backends, BackendId};
 
 fn fixture(name: &str) -> CaseSpec {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -67,10 +68,11 @@ fn boundary_pairs_match_inclusively_in_the_digital_reference() {
 
 #[test]
 fn acam_one_shot_agrees_bitwise_on_every_fixture() {
+    let acam = default_backends().get(BackendId::Acam);
     for name in FIXTURES {
         let case = fixture(name);
-        assert!(layers::acam_eligibility(&case).is_ok(), "{name}");
-        let one_shot = layers::acam(&case).unwrap();
+        assert!(layers::eligibility(acam, &case).is_ok(), "{name}");
+        let one_shot = layers::evaluate(acam, &case).unwrap();
         let reference = layers::reference(&case).unwrap();
         assert_eq!(
             one_shot.to_bits(),
@@ -82,11 +84,16 @@ fn acam_one_shot_agrees_bitwise_on_every_fixture() {
 
 #[test]
 fn analog_layers_are_exempt_but_digital_replay_is_clean() {
+    let set = default_backends();
     for name in FIXTURES {
         let case = fixture(name);
         assert!(
-            layers::spice_eligibility(&case).is_err(),
+            layers::eligibility(set.get(BackendId::Spice), &case).is_err(),
             "{name}: knife-edge cases must not reach the SPICE netlists"
+        );
+        assert!(
+            layers::eligibility(set.get(BackendId::Analog), &case).is_err(),
+            "{name}: knife-edge cases must not reach the behavioural layer"
         );
         let failures = replay(&case, false);
         assert!(failures.is_empty(), "{name}: {failures:#?}");

@@ -202,9 +202,10 @@ impl DistanceBackend for AnalogBackend {
     }
 }
 
-/// The device-level SPICE-solved PE netlists. Size-gated like the
-/// conformance harness's SPICE layer (matrix netlists grow O(m·n) MNA
-/// nodes), and more expensive than everything else — the host solves the
+/// The device-level SPICE-solved PE netlists. Size-gated by
+/// [`DistanceBackend::supports`] (matrix netlists grow O(m·n) MNA nodes;
+/// the conformance harness's SPICE layer runs exactly this gate), and more
+/// expensive than everything else — the host solves the
 /// netlist *and* models the fabric — so the router never auto-picks it,
 /// but it stays addressable as a first-class backend.
 #[derive(Debug)]

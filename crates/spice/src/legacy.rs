@@ -1,8 +1,8 @@
 //! Frozen pre-optimization reference solver path.
 //!
 //! This module preserves, verbatim, the original per-iteration assembly and
-//! consuming LU solvers that predate the structure-caching core in
-//! [`crate::mna`]: a fresh matrix is allocated and a full pivoted
+//! consuming LU solvers that predate the structure-caching MNA core (see
+//! the crate docs): a fresh matrix is allocated and a full pivoted
 //! factorization performed on every Newton iteration of every timestep.
 //! It exists solely as a golden baseline — the equivalence test suite and
 //! the `spice_solver` bench compare the optimized core against it — and

@@ -6,7 +6,7 @@
 //!
 //! The simulator implements:
 //!
-//! * **Modified nodal analysis** ([`mna`]) over a [`netlist::Netlist`] of
+//! * **Modified nodal analysis** over a [`netlist::Netlist`] of
 //!   resistors, memristors, capacitors, independent voltage sources,
 //!   smoothed ideal diodes (threshold 0 V, per the paper's Table 1),
 //!   transmission gates, and behavioural op-amps with finite open-loop gain
@@ -17,13 +17,27 @@
 //! * **waveform measurements** ([`waveform`]), in particular the paper's
 //!   convergence-time definition: the time at which the output settles
 //!   within 0.1 % of its final value;
-//! * dense and sparse LU factorizations behind the allocation-free,
-//!   structure-caching core of [`mna`]: element stamps are compiled once
-//!   into a CSR *stamp plan*, the LU pivot order and fill-in are computed
-//!   once and numerically refactored in place across Newton iterations and
-//!   timesteps, and [`stats::SolveStats`] reports what the solver actually
-//!   did (the frozen pre-plan path survives in [`legacy`] as a golden
-//!   reference).
+//! * dense and sparse LU factorizations behind an allocation-free,
+//!   structure-caching solver core, and [`stats::SolveStats`] reporting
+//!   what the solver actually did (the frozen pre-plan path survives in
+//!   [`legacy`] as a golden reference).
+//!
+//! ## The solver core
+//!
+//! The unknowns are the non-ground node voltages followed by one branch
+//! current per voltage source and per op-amp output. Nonlinear devices
+//! (diodes, op-amp saturation) are stamped as linearized companion models
+//! around the current Newton iterate; capacitors and the op-amp pole
+//! integrate through backward-Euler (or trapezoidal) companion models.
+//!
+//! Each analysis builds one persistent workspace: element stamps are
+//! compiled once into a CSR *stamp plan*, so per-iteration assembly is a
+//! zero fill plus indexed adds; the LU pivot order and fill-in are
+//! computed once and numerically refactored in place across Newton
+//! iterations and timesteps (dense LU below 150 unknowns, sparse above),
+//! with a full re-pivot whenever a refactored solve's residual shows the
+//! frozen order has gone stale. Every solve is allocation-free after
+//! construction.
 //!
 //! ## Example: RC step response
 //!
@@ -52,7 +66,7 @@ pub mod error;
 pub mod export;
 pub mod legacy;
 mod lu;
-pub mod mna;
+mod mna;
 pub mod netlist;
 mod solver;
 mod stamp;
