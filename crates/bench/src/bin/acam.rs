@@ -16,14 +16,16 @@
 //!    digital host on the kinds it serves.
 //!
 //! ```text
-//! acam [--quick] [--seed N]
+//! acam [--quick]
 //! ```
 //!
 //! Writes `results/BENCH_acam.json`.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use mda_acam::{AcamPrefilter, FaultPlan, MarginPolicy, OneShotMatcher};
+use mda_bench::Record;
 use mda_distance::dtw::Band;
 use mda_distance::mining::prefilter::CandidateFilter;
 use mda_distance::mining::{KnnClassifier, SubsequenceSearch};
@@ -31,6 +33,9 @@ use mda_distance::{Distance, DistanceKind, Dtw, EditDistance, Hamming, Lcs};
 use mda_routing::{default_backends, BackendId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The sweep's workload seed.
+const SEED: u64 = 0xAC4A;
 
 fn policies() -> Vec<(&'static str, Arc<dyn CandidateFilter>)> {
     vec![
@@ -71,31 +76,16 @@ fn walk_query(len: usize, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
-    let mut quick = false;
-    let mut seed: u64 = 0xAC4A;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs N")
-                    .parse()
-                    .expect("--seed must be a number");
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (sweeps, hay_len, window) = if quick { (4, 512, 24) } else { (12, 2048, 48) };
+fn main() -> ExitCode {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (sweeps, hay_len, window) = if quick {
+        (4usize, 512, 24)
+    } else {
+        (12, 2048, 48)
+    };
     let radius = 4usize;
-    println!("acam bench: {sweeps} sweeps, haystack {hay_len}, window {window} (seed {seed})");
+    println!("acam one-shot matching bench");
 
-    let mut failed = false;
     let mut false_rejects = 0u64;
     let mut rejected_total = 0u64;
     let mut search_mismatches = 0u64;
@@ -104,7 +94,7 @@ fn main() {
 
     // ---- Gate 1 + 2a: admissibility and search identity over the sweep.
     for s in 0..sweeps {
-        let mut rng = StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = StdRng::seed_from_u64(SEED ^ (s as u64).wrapping_mul(0x9E37_79B9));
         let query = walk_query(window, &mut rng);
         let hay = hostile_haystack(&query, hay_len, &mut rng);
 
@@ -159,7 +149,7 @@ fn main() {
     // ---- Gate 2b: kNN identity.
     let mut knn_mismatches = 0u64;
     {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C);
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0xD15C);
         let train_n = if quick { 18 } else { 36 };
         let series_len = if quick { 16 } else { 24 };
         let train: Vec<(usize, Vec<f64>)> = (0..train_n)
@@ -200,7 +190,7 @@ fn main() {
     let mut one_shot_mismatches = 0u64;
     let mut one_shot_checks = 0u64;
     {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0415);
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x0415);
         let pairs = if quick { 40 } else { 160 };
         for _ in 0..pairs {
             let len = rng.gen_range(1..20u64) as usize;
@@ -243,101 +233,32 @@ fn main() {
     let acam_w = acam_w_sum / 3.0;
     let analog_w = analog_w_sum / 3.0;
 
-    println!("  rejected windows: {rejected_total} | false rejects: {false_rejects}");
-    println!(
-        "  tuned prune rate: {:.1}% of {tuned_windows} windows",
-        prune_rate * 100.0
-    );
-    println!(
-        "  identity: search mismatches {search_mismatches}, knn mismatches {knn_mismatches}, \
-         one-shot mismatches {one_shot_mismatches}/{one_shot_checks}"
-    );
-    println!(
-        "  modeled power (thresholded kinds, n={power_len}): acam {acam_w:.3} W vs analog \
-         {analog_w:.3} W vs digital {digital_w:.1} W"
-    );
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), quick);
+    rec.row("sweep")
+        .set("seed", SEED)
+        .set("sweeps", sweeps)
+        .set("haystack_len", hay_len)
+        .set("window", window)
+        .set("tuned_windows", tuned_windows)
+        .set("tuned_prune_rate", prune_rate)
+        .set("one_shot_checks", one_shot_checks);
+    rec.row("power")
+        .set("length", power_len)
+        .set("acam_watts", acam_w)
+        .set("analog_watts", analog_w)
+        .set("digital_watts", digital_w)
+        .set("acam_vs_analog_power_ratio", acam_w / analog_w);
 
-    let payload = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"sweeps\": {},\n",
-            "  \"haystack_len\": {},\n",
-            "  \"window\": {},\n",
-            "  \"rejected_windows\": {},\n",
-            "  \"false_rejects\": {},\n",
-            "  \"tuned_windows\": {},\n",
-            "  \"tuned_prefilter_pruned\": {},\n",
-            "  \"tuned_prune_rate\": {:.4},\n",
-            "  \"search_mismatches\": {},\n",
-            "  \"knn_mismatches\": {},\n",
-            "  \"one_shot_checks\": {},\n",
-            "  \"one_shot_mismatches\": {},\n",
-            "  \"acam_watts\": {:.4},\n",
-            "  \"analog_watts\": {:.4},\n",
-            "  \"digital_watts\": {:.4},\n",
-            "  \"acam_vs_analog_power_ratio\": {:.4}\n",
-            "}}\n",
-        ),
-        quick,
-        seed,
-        sweeps,
-        hay_len,
-        window,
-        rejected_total,
-        false_rejects,
-        tuned_windows,
-        tuned_prefilter_pruned,
-        prune_rate,
-        search_mismatches,
-        knn_mismatches,
-        one_shot_checks,
-        one_shot_mismatches,
-        acam_w,
-        analog_w,
-        digital_w,
-        acam_w / analog_w,
+    // All fatal: admissibility and identity are contracts, not aspirations.
+    rec.at_most("false_rejects", false_rejects, 0);
+    rec.at_most("search_mismatches", search_mismatches, 0);
+    rec.at_most("knn_mismatches", knn_mismatches, 0);
+    rec.at_most("one_shot_mismatches", one_shot_mismatches, 0);
+    rec.at_least("rejected_windows", rejected_total, 1);
+    rec.at_least("tuned_prefilter_pruned", tuned_prefilter_pruned, 1);
+    rec.holds(
+        "acam_below_analog_and_digital_watts",
+        acam_w < analog_w && acam_w < digital_w,
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_acam.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("wrote {path}");
-
-    // Gates — all fatal: admissibility and identity are contracts, not
-    // aspirations.
-    if false_rejects > 0 {
-        eprintln!("GATE: {false_rejects} false reject(s) — the match line broke admissibility");
-        failed = true;
-    }
-    if search_mismatches > 0 || knn_mismatches > 0 {
-        eprintln!(
-            "GATE: filtered mining diverged from baseline ({search_mismatches} search, \
-             {knn_mismatches} knn)"
-        );
-        failed = true;
-    }
-    if one_shot_mismatches > 0 {
-        eprintln!(
-            "GATE: {one_shot_mismatches} one-shot value(s) diverged from the digital kernels"
-        );
-        failed = true;
-    }
-    if rejected_total == 0 || prune_rate <= 0.0 {
-        eprintln!("GATE: the match line never rejected a window — the filter proved nothing");
-        failed = true;
-    }
-    if acam_w >= analog_w || acam_w >= digital_w {
-        eprintln!(
-            "GATE: match plane modeled at {acam_w:.3} W — not below analog {analog_w:.3} W \
-             and digital {digital_w:.1} W"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "acam gates: zero false rejects, bitwise identity, real pruning, power saving — all pass"
-    );
+    rec.finish()
 }

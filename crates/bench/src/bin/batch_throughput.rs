@@ -12,13 +12,12 @@
 //! is reached; on a single-core container the speedup column stays ~1.0x
 //! while the identity checks still exercise the multi-threaded paths.
 //!
-//! With `--json`, additionally writes the measurements to
-//! `results/BENCH_batch_throughput.json` (same pattern as
-//! `spice_solver.rs`).
+//! Writes `results/BENCH_batch_throughput.json`.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use mda_bench::Table;
+use mda_bench::Record;
 use mda_core::{AcceleratorConfig, DistanceAccelerator};
 use mda_distance::mining::{KnnClassifier, MotifDiscovery};
 use mda_distance::{BatchEngine, DistanceKind, Dtw};
@@ -70,47 +69,32 @@ fn stream_report(engine: &BatchEngine, pairs: &[(Vec<f64>, Vec<f64>)]) -> (usize
     )
 }
 
-struct Measurement {
-    workload: &'static str,
+/// One `measurements` row: a workload's parallel run against its serial
+/// one. Returns whether the two results were bitwise identical.
+fn measure<R: PartialEq>(
+    rec: &mut Record,
+    workload: &str,
     threads: usize,
-    serial_seconds: f64,
-    parallel_seconds: f64,
-    identical: bool,
-}
-
-fn json(cores: usize, measurements: &[Measurement]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"cores\": {cores},\n"));
-    s.push_str("  \"measurements\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"workload\": \"{}\",\n",
-                "      \"threads\": {},\n",
-                "      \"serial_seconds\": {:.6},\n",
-                "      \"parallel_seconds\": {:.6},\n",
-                "      \"speedup\": {:.3},\n",
-                "      \"identical\": {}\n",
-                "    }}{}\n",
-            ),
-            m.workload,
-            m.threads,
-            m.serial_seconds,
-            m.parallel_seconds,
-            m.serial_seconds / m.parallel_seconds,
-            m.identical,
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
+    serial: &(R, f64),
+    parallel: (R, f64),
+) -> bool {
+    let identical = parallel.0 == serial.0;
+    if !identical {
+        eprintln!("MISMATCH: {workload} results differ at {threads} threads");
     }
-    s.push_str("  ]\n}\n");
-    s
+    rec.row("measurements")
+        .set("workload", workload)
+        .set("threads", threads)
+        .set("serial_seconds", serial.1)
+        .set("parallel_seconds", parallel.1)
+        .set("speedup", serial.1 / parallel.1)
+        .set("identical", identical);
+    identical
 }
 
-fn main() {
-    let emit_json = std::env::args().any(|a| a == "--json");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let thread_counts: Vec<usize> = [2usize, 4, cores]
+fn main() -> ExitCode {
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), false);
+    let thread_counts: Vec<usize> = [2usize, 4, rec.cores()]
         .into_iter()
         .filter(|&t| t > 1)
         .collect::<std::collections::BTreeSet<_>>()
@@ -123,92 +107,39 @@ fn main() {
         .map(|k| (series(24, k), series(24, k + 500)))
         .collect();
 
-    println!("batch engine throughput — host has {cores} core(s)\n");
-    let mut table = Table::new(["workload", "threads", "serial", "parallel", "speedup"]);
+    println!("batch engine throughput");
+    let knn_serial = time(|| knn_labels(BatchEngine::serial(), &queries));
+    let motif_serial = time(|| motif_result(BatchEngine::serial(), &haystack));
+    let stream_serial = time(|| stream_report(&BatchEngine::serial(), &pairs));
+
     let mut mismatches = 0usize;
-    let mut measurements: Vec<Measurement> = Vec::new();
-
-    let (knn_serial, t_knn_serial) = time(|| knn_labels(BatchEngine::serial(), &queries));
-    let (motif_serial, t_motif_serial) = time(|| motif_result(BatchEngine::serial(), &haystack));
-    let (stream_serial, t_stream_serial) = time(|| stream_report(&BatchEngine::serial(), &pairs));
-
     for &threads in &thread_counts {
         let engine = BatchEngine::serial().with_threads(threads);
-
-        let (knn_par, t_knn) = time(|| knn_labels(engine.clone(), &queries));
-        if knn_par != knn_serial {
-            eprintln!("MISMATCH: kNN results differ at {threads} threads");
-            mismatches += 1;
-        }
-        measurements.push(Measurement {
-            workload: "knn_classify",
-            threads,
-            serial_seconds: t_knn_serial,
-            parallel_seconds: t_knn,
-            identical: knn_par == knn_serial,
-        });
-        table.row([
-            "knn classify".into(),
-            threads.to_string(),
-            format!("{t_knn_serial:.3}s"),
-            format!("{t_knn:.3}s"),
-            format!("{:.2}x", t_knn_serial / t_knn),
-        ]);
-
-        let (motif_par, t_motif) = time(|| motif_result(engine.clone(), &haystack));
-        if motif_par != motif_serial {
-            eprintln!("MISMATCH: motif results differ at {threads} threads");
-            mismatches += 1;
-        }
-        measurements.push(Measurement {
-            workload: "motif_discovery",
-            threads,
-            serial_seconds: t_motif_serial,
-            parallel_seconds: t_motif,
-            identical: motif_par == motif_serial,
-        });
-        table.row([
-            "motif discovery".into(),
-            threads.to_string(),
-            format!("{t_motif_serial:.3}s"),
-            format!("{t_motif:.3}s"),
-            format!("{:.2}x", t_motif_serial / t_motif),
-        ]);
-
-        let (stream_par, t_stream) = time(|| stream_report(&engine, &pairs));
-        if stream_par != stream_serial {
-            eprintln!("MISMATCH: stream reports differ at {threads} threads");
-            mismatches += 1;
-        }
-        measurements.push(Measurement {
-            workload: "accelerator_stream",
-            threads,
-            serial_seconds: t_stream_serial,
-            parallel_seconds: t_stream,
-            identical: stream_par == stream_serial,
-        });
-        table.row([
-            "accelerator stream".into(),
-            threads.to_string(),
-            format!("{t_stream_serial:.3}s"),
-            format!("{t_stream:.3}s"),
-            format!("{:.2}x", t_stream_serial / t_stream),
-        ]);
+        let runs = [
+            measure(
+                &mut rec,
+                "knn_classify",
+                threads,
+                &knn_serial,
+                time(|| knn_labels(engine.clone(), &queries)),
+            ),
+            measure(
+                &mut rec,
+                "motif_discovery",
+                threads,
+                &motif_serial,
+                time(|| motif_result(engine.clone(), &haystack)),
+            ),
+            measure(
+                &mut rec,
+                "accelerator_stream",
+                threads,
+                &stream_serial,
+                time(|| stream_report(&engine, &pairs)),
+            ),
+        ];
+        mismatches += runs.iter().filter(|&&identical| !identical).count();
     }
-
-    println!("{}", table.render());
-
-    if emit_json {
-        let payload = json(cores, &measurements);
-        std::fs::create_dir_all("results").expect("create results dir");
-        let path = "results/BENCH_batch_throughput.json";
-        std::fs::write(path, payload).expect("write bench json");
-        println!("\nwrote {path}");
-    }
-
-    if mismatches > 0 {
-        eprintln!("\n{mismatches} result mismatch(es) across thread counts");
-        std::process::exit(1);
-    }
-    println!("\nall parallel results bitwise-identical to serial");
+    rec.at_most("result_mismatches", mismatches, 0);
+    rec.finish()
 }

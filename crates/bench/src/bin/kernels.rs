@@ -28,15 +28,16 @@
 //! Writes `results/BENCH_kernels.json`. `--quick` shrinks the workload for
 //! CI; the identity and speedup gates stay fatal in both modes.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use mda_bench::kernels_baseline as baseline;
-use mda_bench::Table;
+use mda_bench::Record;
 use mda_core::analog::graph::builders;
 use mda_core::analog::{AnalogEngine, AnalogGraph, ErrorModel, Tape};
 use mda_core::AcceleratorConfig;
 use mda_distance::mining::{
-    banded_dtw_knn, Classified, KnnClassifier, KnnStats, SearchStats, SubsequenceSearch,
+    banded_dtw_knn, Classified, KnnClassifier, KnnStats, SubsequenceSearch,
 };
 use mda_distance::{Band, BatchEngine, DpScratch, Dtw, EditDistance, Lcs};
 
@@ -61,14 +62,6 @@ fn best_of_3(mut f: impl FnMut() -> f64) -> (f64, f64) {
         best = best.min(start.elapsed().as_secs_f64());
     }
     (best, out)
-}
-
-struct KernelRow {
-    name: &'static str,
-    cells: u64,
-    baseline_ns_per_cell: f64,
-    new_ns_per_cell: f64,
-    identical: bool,
 }
 
 /// Bitwise identity sweep of the reworked kernels against the frozen
@@ -135,15 +128,16 @@ fn identity_sweep() -> usize {
     mismatches
 }
 
-/// Times `baseline` and `new` (best of 3 each) over `cells` DP cells; their
-/// checksums must agree bitwise.
+/// Times `baseline` and `new` (best of 3 each) over `cells` DP cells into a
+/// `kernels` row; their checksums must agree bitwise.
 fn timed_row(
-    name: &'static str,
+    rec: &mut Record,
+    name: &str,
     cells: u64,
     baseline: impl FnMut() -> f64,
     new: impl FnMut() -> f64,
     mismatches: &mut usize,
-) -> KernelRow {
+) {
     let (t_base, sum_base) = best_of_3(baseline);
     let (t_new, sum_new) = best_of_3(new);
     let identical = sum_base.to_bits() == sum_new.to_bits();
@@ -151,17 +145,16 @@ fn timed_row(
         eprintln!("IDENTITY MISMATCH: {name} batch checksum");
         *mismatches += 1;
     }
-    KernelRow {
-        name,
-        cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
-        new_ns_per_cell: t_new * 1e9 / cells as f64,
-        identical,
-    }
+    rec.row("kernels")
+        .set("name", name)
+        .set("cells", cells)
+        .set("baseline_ns_per_cell", t_base * 1e9 / cells as f64)
+        .set("new_ns_per_cell", t_new * 1e9 / cells as f64)
+        .set("speedup", t_base / t_new)
+        .set("identical", identical);
 }
 
-fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
-    let mut mismatches = 0usize;
+fn kernel_rows(rec: &mut Record, pairs: usize, len: usize, mismatches: &mut usize) {
     let inputs: Vec<(Vec<f64>, Vec<f64>)> = (0..pairs)
         .map(|k| (series(len, k), series(len, k + 1000)))
         .collect();
@@ -170,121 +163,111 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
     let band_cells = (Band::SakoeChiba(banded_r).active_cells(len, len) * pairs) as u64;
     let banded = Dtw::new().with_band(Band::SakoeChiba(banded_r));
     let mut scratch = DpScratch::new();
-    let rows = vec![
-        timed_row(
-            "dtw_full",
-            cells,
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| baseline::dtw(p, q, None).unwrap())
-                    .sum()
-            },
-            || {
-                let dtw = Dtw::new();
-                inputs
-                    .iter()
-                    .map(|(p, q)| dtw.distance_with(p, q, &mut scratch).unwrap())
-                    .sum()
-            },
-            &mut mismatches,
-        ),
-        // 5%-style band; cells = the active band cells.
-        timed_row(
-            "dtw_banded",
-            band_cells,
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| baseline::dtw(p, q, Some(banded_r)).unwrap())
-                    .sum()
-            },
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| banded.distance_with(p, q, &mut scratch).unwrap())
-                    .sum()
-            },
-            &mut mismatches,
-        ),
-        // The early-abandon kernel the cascades and the kNN scan finish
-        // on, at an infinite budget so every cell is computed.
-        timed_row(
-            "dtw_banded_abandon",
-            band_cells,
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| {
-                        baseline::dtw_early_abandon(p, q, banded_r, f64::INFINITY)
-                            .unwrap()
-                            .unwrap()
-                    })
-                    .sum()
-            },
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| {
-                        banded
-                            .distance_early_abandon_with(p, q, f64::INFINITY, &mut scratch)
-                            .unwrap()
-                            .unwrap()
-                    })
-                    .sum()
-            },
-            &mut mismatches,
-        ),
-        timed_row(
-            "lcs",
-            cells,
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| baseline::lcs(p, q, 0.3, 1.0))
-                    .sum()
-            },
-            || {
-                let lcs = Lcs::new(0.3);
-                inputs
-                    .iter()
-                    .map(|(p, q)| lcs.similarity_with(p, q, &mut scratch).unwrap())
-                    .sum()
-            },
-            &mut mismatches,
-        ),
-        timed_row(
-            "edit",
-            cells,
-            || {
-                inputs
-                    .iter()
-                    .map(|(p, q)| baseline::edit(p, q, 0.3, 1.0))
-                    .sum()
-            },
-            || {
-                let edit = EditDistance::new(0.3);
-                inputs
-                    .iter()
-                    .map(|(p, q)| edit.distance_with(p, q, &mut scratch).unwrap())
-                    .sum()
-            },
-            &mut mismatches,
-        ),
-    ];
-
-    (rows, mismatches)
-}
-
-struct KnnRun {
-    instances: usize,
-    queries: usize,
-    k: usize,
-    radius: usize,
-    exhaustive_seconds: f64,
-    pruned_seconds: f64,
-    stats: KnnStats,
-    identical: bool,
+    timed_row(
+        rec,
+        "dtw_full",
+        cells,
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| baseline::dtw(p, q, None).unwrap())
+                .sum()
+        },
+        || {
+            let dtw = Dtw::new();
+            inputs
+                .iter()
+                .map(|(p, q)| dtw.distance_with(p, q, &mut scratch).unwrap())
+                .sum()
+        },
+        mismatches,
+    );
+    // 5%-style band; cells = the active band cells.
+    timed_row(
+        rec,
+        "dtw_banded",
+        band_cells,
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| baseline::dtw(p, q, Some(banded_r)).unwrap())
+                .sum()
+        },
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| banded.distance_with(p, q, &mut scratch).unwrap())
+                .sum()
+        },
+        mismatches,
+    );
+    // The early-abandon kernel the cascades and the kNN scan finish
+    // on, at an infinite budget so every cell is computed.
+    timed_row(
+        rec,
+        "dtw_banded_abandon",
+        band_cells,
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| {
+                    baseline::dtw_early_abandon(p, q, banded_r, f64::INFINITY)
+                        .unwrap()
+                        .unwrap()
+                })
+                .sum()
+        },
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| {
+                    banded
+                        .distance_early_abandon_with(p, q, f64::INFINITY, &mut scratch)
+                        .unwrap()
+                        .unwrap()
+                })
+                .sum()
+        },
+        mismatches,
+    );
+    timed_row(
+        rec,
+        "lcs",
+        cells,
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| baseline::lcs(p, q, 0.3, 1.0))
+                .sum()
+        },
+        || {
+            let lcs = Lcs::new(0.3);
+            inputs
+                .iter()
+                .map(|(p, q)| lcs.similarity_with(p, q, &mut scratch).unwrap())
+                .sum()
+        },
+        mismatches,
+    );
+    timed_row(
+        rec,
+        "edit",
+        cells,
+        || {
+            inputs
+                .iter()
+                .map(|(p, q)| baseline::edit(p, q, 0.3, 1.0))
+                .sum()
+        },
+        || {
+            let edit = EditDistance::new(0.3);
+            inputs
+                .iter()
+                .map(|(p, q)| edit.distance_with(p, q, &mut scratch).unwrap())
+                .sum()
+        },
+        mismatches,
+    );
 }
 
 /// A seeded 4-class corpus: class `c` is a sine of frequency
@@ -312,7 +295,7 @@ fn class_corpus(count: usize, len: usize, seed: u64) -> Vec<(usize, Vec<f64>)> {
 
 /// The pruned banded-DTW kNN scan against the exhaustive classifier on the
 /// same corpus and queries; every answer must agree bitwise.
-fn knn_run(instances: usize, queries: usize, len: usize) -> (KnnRun, usize) {
+fn knn_run(rec: &mut Record, instances: usize, queries: usize, len: usize, mismatches: &mut usize) {
     let (k, radius) = (3, 8);
     let train = class_corpus(instances, len, 7);
     let queries: Vec<Vec<f64>> = class_corpus(queries, len, 8)
@@ -332,7 +315,7 @@ fn knn_run(instances: usize, queries: usize, len: usize) -> (KnnRun, usize) {
         .collect();
     let mut scratch = DpScratch::new();
     let mut stats = KnnStats::default();
-    let mut mismatches = 0usize;
+    let mut identical = true;
     for (q, want) in queries.iter().zip(&exhaustive) {
         let (c, s) = banded_dtw_knn(q, &series, label_of, k, radius, &mut scratch).unwrap();
         if key(&c) != *want {
@@ -340,7 +323,8 @@ fn knn_run(instances: usize, queries: usize, len: usize) -> (KnnRun, usize) {
                 "IDENTITY MISMATCH: knn_pruned {:?} vs exhaustive {want:?}",
                 key(&c)
             );
-            mismatches += 1;
+            *mismatches += 1;
+            identical = false;
         }
         stats.pruned_by_kim += s.pruned_by_kim;
         stats.pruned_by_keogh += s.pruned_by_keogh;
@@ -360,37 +344,30 @@ fn knn_run(instances: usize, queries: usize, len: usize) -> (KnnRun, usize) {
             })
             .sum()
     });
-    (
-        KnnRun {
-            instances,
-            queries: queries.len(),
-            k,
-            radius,
-            exhaustive_seconds,
-            pruned_seconds,
-            stats,
-            identical: mismatches == 0,
-        },
-        mismatches,
-    )
+    rec.row("knn_pruned")
+        .set("instances", instances)
+        .set("queries", queries.len())
+        .set("k", k)
+        .set("radius", radius)
+        .set("exhaustive_seconds", exhaustive_seconds)
+        .set("pruned_seconds", pruned_seconds)
+        .set("speedup", exhaustive_seconds / pruned_seconds)
+        .set("pruned_by_kim", stats.pruned_by_kim)
+        .set("pruned_by_keogh", stats.pruned_by_keogh)
+        .set("abandoned", stats.abandoned_early)
+        .set("full_dtw", stats.full_computations)
+        .set("identical", identical);
 }
 
-struct SearchRun {
+/// The subsequence search, baseline vs reworked at the default chunk size
+/// and served (one chunk). Returns the reworked path's speedup.
+fn search_run(
+    rec: &mut Record,
     haystack_len: usize,
     window: usize,
     radius: usize,
-    baseline_seconds: f64,
-    new_seconds: f64,
-    baseline_prune_rate: f64,
-    stats: SearchStats,
-    /// The served configuration: one chunk over the whole haystack.
-    served_seconds: f64,
-    served_stats: SearchStats,
-    identical: bool,
-}
-
-fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, usize) {
-    let mut mismatches = 0usize;
+    mismatches: &mut usize,
+) -> f64 {
     // Random-walk-flavoured haystack with a near-match planted mid-way: the
     // standard pruning regime (most windows die in the cascade, a few reach
     // the DP).
@@ -417,47 +394,41 @@ fn search_run(haystack_len: usize, window: usize, radius: usize) -> (SearchRun, 
     let (t_served, _) = best_of_3(|| served.run(&query, &haystack).unwrap().0.distance);
     let (served_m, served_stats) = served.run(&query, &haystack).unwrap();
 
-    let mut identical = true;
-    for (name, m) in [("new", &m), ("served", &served_m)] {
-        if m.offset != base.offset || m.distance.to_bits() != base.distance.to_bits() {
+    rec.row("search")
+        .set("haystack_len", haystack_len)
+        .set("window", window)
+        .set("radius", radius)
+        .set("baseline_seconds", t_base)
+        .set("baseline_prune_rate", base.prune_rate());
+    for (path, seconds, m, stats) in [
+        ("new", t_new, &m, &stats),
+        ("served", t_served, &served_m, &served_stats),
+    ] {
+        let identical = m.offset == base.offset && m.distance.to_bits() == base.distance.to_bits();
+        if !identical {
             eprintln!(
-                "IDENTITY MISMATCH: search baseline ({}, {}) vs {name} ({}, {})",
+                "IDENTITY MISMATCH: search baseline ({}, {}) vs {path} ({}, {})",
                 base.offset, base.distance, m.offset, m.distance
             );
-            mismatches += 1;
-            identical = false;
+            *mismatches += 1;
         }
+        rec.row("search_paths")
+            .set("path", path)
+            .set("seconds", seconds)
+            .set("speedup", t_base / seconds)
+            .set("prune_rate", stats.prune_rate())
+            .set("windows", stats.windows)
+            .set("pruned_by_kim", stats.pruned_by_kim)
+            .set("pruned_by_keogh", stats.pruned_by_keogh)
+            .set("abandoned", stats.abandoned_early)
+            .set("full_dtw", stats.full_computations)
+            .set("identical", identical);
     }
-    (
-        SearchRun {
-            haystack_len,
-            window,
-            radius,
-            baseline_seconds: t_base,
-            new_seconds: t_new,
-            baseline_prune_rate: base.prune_rate(),
-            stats,
-            served_seconds: t_served,
-            served_stats,
-            identical,
-        },
-        mismatches,
-    )
+    t_base / t_new
 }
 
 /// The golden fixture the analog rows are identity-gated against.
 const ANALOG_GOLDEN: &str = include_str!("../../../core/tests/data/analog_golden.txt");
-
-struct AnalogRow {
-    name: &'static str,
-    nodes: usize,
-    steps: usize,
-    /// `set_inputs` + `settle` on a compiled tape.
-    settle_ns_per_node_step: f64,
-    /// `simulate`: compile, run, record the output trace.
-    simulate_ns_per_node_step: f64,
-    identical: bool,
-}
 
 /// The fixture's inputs at length `len` (see `analog_golden.rs`): a
 /// two-tone wave and a partner that nearly matches on even indices.
@@ -492,12 +463,13 @@ fn golden(name: &str) -> (u64, usize) {
 
 /// Times `settle` and `simulate` on one golden case; `reps` runs each.
 fn analog_row(
-    name: &'static str,
+    rec: &mut Record,
+    name: &str,
     case: &str,
     build: impl Fn(&[f64], &[f64]) -> AnalogGraph,
     reps: usize,
     mismatches: &mut usize,
-) -> AnalogRow {
+) {
     let engine = AnalogEngine::new();
     let config = AcceleratorConfig::paper_defaults();
     let (p, q) = golden_inputs(&config, 32);
@@ -533,182 +505,38 @@ fn analog_row(
         *mismatches += 1;
     }
     let node_steps = (tape.len() * settled.steps * reps) as f64;
-    AnalogRow {
-        name,
-        nodes: tape.len(),
-        steps: settled.steps,
-        settle_ns_per_node_step: t_settle * 1e9 / node_steps,
-        simulate_ns_per_node_step: t_sim * 1e9 / node_steps,
-        identical,
-    }
+    rec.row("analog_settle")
+        .set("name", name)
+        .set("length", 32usize)
+        .set("nodes", tape.len())
+        .set("steps", settled.steps)
+        .set("settle_ns_per_node_step", t_settle * 1e9 / node_steps)
+        .set("simulate_ns_per_node_step", t_sim * 1e9 / node_steps)
+        .set("identical", identical);
 }
 
-fn analog_rows(reps: usize) -> (Vec<AnalogRow>, usize) {
+fn analog_rows(rec: &mut Record, reps: usize, mismatches: &mut usize) {
     let config = AcceleratorConfig::paper_defaults();
     let errors = || ErrorModel::new(config.noise_seed);
-    let mut mismatches = 0;
-    let rows = vec![
-        analog_row(
-            "analog_settle_hausdorff",
-            "hausdorff/32/paper/healthy",
-            |p, q| builders::hausdorff(&config, p, q, 1.0, &mut errors()),
-            reps,
-            &mut mismatches,
-        ),
-        analog_row(
-            "analog_settle_dtw",
-            "dtw/32/full/paper/healthy",
-            |p, q| builders::dtw(&config, p, q, 1.0, Band::Full, &mut errors()),
-            reps,
-            &mut mismatches,
-        ),
-    ];
-    (rows, mismatches)
+    analog_row(
+        rec,
+        "analog_settle_hausdorff",
+        "hausdorff/32/paper/healthy",
+        |p, q| builders::hausdorff(&config, p, q, 1.0, &mut errors()),
+        reps,
+        mismatches,
+    );
+    analog_row(
+        rec,
+        "analog_settle_dtw",
+        "dtw/32/full/paper/healthy",
+        |p, q| builders::dtw(&config, p, q, 1.0, Band::Full, &mut errors()),
+        reps,
+        mismatches,
+    );
 }
 
-/// A search's prune partition as one JSON object.
-fn partition_json(s: &SearchStats) -> String {
-    format!(
-        "{{\"windows\": {}, \"pruned_by_kim\": {}, \"pruned_by_keogh\": {}, \"abandoned\": {}, \"full_dtw\": {}}}",
-        s.windows, s.pruned_by_kim, s.pruned_by_keogh, s.abandoned_early, s.full_computations
-    )
-}
-
-/// A search's prune partition for the console.
-fn partition_text(s: &SearchStats) -> String {
-    format!(
-        "kim {} keogh {} abandoned {} full {}",
-        s.pruned_by_kim, s.pruned_by_keogh, s.abandoned_early, s.full_computations
-    )
-}
-
-fn json(
-    rows: &[KernelRow],
-    analog: &[AnalogRow],
-    search: &SearchRun,
-    knn: &KnnRun,
-    mismatches: usize,
-    quick: bool,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"identity_mismatches\": {mismatches},\n"));
-    s.push_str("  \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"cells\": {},\n",
-                "      \"baseline_ns_per_cell\": {:.3},\n",
-                "      \"new_ns_per_cell\": {:.3},\n",
-                "      \"speedup\": {:.3},\n",
-                "      \"identical\": {}\n",
-                "    }}{}\n",
-            ),
-            r.name,
-            r.cells,
-            r.baseline_ns_per_cell,
-            r.new_ns_per_cell,
-            r.baseline_ns_per_cell / r.new_ns_per_cell,
-            r.identical,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"analog_settle\": [\n");
-    for (i, r) in analog.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"length\": 32,\n",
-                "      \"nodes\": {},\n",
-                "      \"steps\": {},\n",
-                "      \"settle_ns_per_node_step\": {:.3},\n",
-                "      \"simulate_ns_per_node_step\": {:.3},\n",
-                "      \"identical\": {}\n",
-                "    }}{}\n",
-            ),
-            r.name,
-            r.nodes,
-            r.steps,
-            r.settle_ns_per_node_step,
-            r.simulate_ns_per_node_step,
-            r.identical,
-            if i + 1 < analog.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        concat!(
-            "  \"search\": {{\n",
-            "    \"haystack_len\": {},\n",
-            "    \"window\": {},\n",
-            "    \"radius\": {},\n",
-            "    \"baseline_seconds\": {:.6},\n",
-            "    \"new_seconds\": {:.6},\n",
-            "    \"speedup\": {:.3},\n",
-            "    \"baseline_prune_rate\": {:.4},\n",
-            "    \"new_prune_rate\": {:.4},\n",
-            "    \"new_partition\": {},\n",
-            "    \"served_seconds\": {:.6},\n",
-            "    \"served_speedup\": {:.3},\n",
-            "    \"served_prune_rate\": {:.4},\n",
-            "    \"served_partition\": {},\n",
-            "    \"identical\": {}\n",
-            "  }},\n",
-        ),
-        search.haystack_len,
-        search.window,
-        search.radius,
-        search.baseline_seconds,
-        search.new_seconds,
-        search.baseline_seconds / search.new_seconds,
-        search.baseline_prune_rate,
-        search.stats.prune_rate(),
-        partition_json(&search.stats),
-        search.served_seconds,
-        search.baseline_seconds / search.served_seconds,
-        search.served_stats.prune_rate(),
-        partition_json(&search.served_stats),
-        search.identical,
-    ));
-    s.push_str(&format!(
-        concat!(
-            "  \"knn_pruned\": {{\n",
-            "    \"instances\": {},\n",
-            "    \"queries\": {},\n",
-            "    \"k\": {},\n",
-            "    \"radius\": {},\n",
-            "    \"exhaustive_seconds\": {:.6},\n",
-            "    \"pruned_seconds\": {:.6},\n",
-            "    \"speedup\": {:.3},\n",
-            "    \"pruned_by_kim\": {},\n",
-            "    \"pruned_by_keogh\": {},\n",
-            "    \"abandoned\": {},\n",
-            "    \"full_dtw\": {},\n",
-            "    \"identical\": {}\n",
-            "  }}\n",
-        ),
-        knn.instances,
-        knn.queries,
-        knn.k,
-        knn.radius,
-        knn.exhaustive_seconds,
-        knn.pruned_seconds,
-        knn.exhaustive_seconds / knn.pruned_seconds,
-        knn.stats.pruned_by_kim,
-        knn.stats.pruned_by_keogh,
-        knn.stats.abandoned_early,
-        knn.stats.full_computations,
-        knn.identical,
-    ));
-    s.push_str("}\n");
-    s
-}
-
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let (pairs, len, haystack_len, knn_instances, analog_reps) = if quick {
         (48, 128, 4096, 256, 2)
@@ -717,112 +545,16 @@ fn main() {
     };
     let window = 128;
     let radius = window / 20; // the paper's 5% band, rounded down to 6
+    println!("DP kernel rework bench (serial)");
 
-    println!(
-        "DP kernel rework bench (serial){}\n",
-        if quick { " — quick" } else { "" }
-    );
-
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), quick);
     let mut mismatches = identity_sweep();
+    kernel_rows(&mut rec, pairs, len, &mut mismatches);
+    analog_rows(&mut rec, analog_reps, &mut mismatches);
+    let search_speedup = search_run(&mut rec, haystack_len, window, radius, &mut mismatches);
+    knn_run(&mut rec, knn_instances, 16, len, &mut mismatches);
 
-    let (rows, kernel_mismatches) = kernel_rows(pairs, len);
-    mismatches += kernel_mismatches;
-    let mut table = Table::new([
-        "kernel",
-        "cells",
-        "baseline ns/cell",
-        "new ns/cell",
-        "speedup",
-    ]);
-    for r in &rows {
-        table.row([
-            r.name.into(),
-            r.cells.to_string(),
-            format!("{:.2}", r.baseline_ns_per_cell),
-            format!("{:.2}", r.new_ns_per_cell),
-            format!("{:.2}x", r.baseline_ns_per_cell / r.new_ns_per_cell),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let (analog, analog_mismatches) = analog_rows(analog_reps);
-    mismatches += analog_mismatches;
-    let mut table = Table::new([
-        "analog (length 32)",
-        "nodes",
-        "steps",
-        "settle ns/node-step",
-        "simulate ns/node-step",
-    ]);
-    for r in &analog {
-        table.row([
-            r.name.into(),
-            r.nodes.to_string(),
-            r.steps.to_string(),
-            format!("{:.2}", r.settle_ns_per_node_step),
-            format!("{:.2}", r.simulate_ns_per_node_step),
-        ]);
-    }
-    println!("\n{}", table.render());
-
-    let (search, search_mismatches) = search_run(haystack_len, window, radius);
-    mismatches += search_mismatches;
-    let search_speedup = search.baseline_seconds / search.new_seconds;
-    println!(
-        "\nsubsequence search: haystack {} window {} radius {}: baseline {:.4}s, new {:.4}s ({:.2}x), prune {:.1}% -> {:.1}%; {}",
-        search.haystack_len,
-        search.window,
-        search.radius,
-        search.baseline_seconds,
-        search.new_seconds,
-        search_speedup,
-        search.baseline_prune_rate * 100.0,
-        search.stats.prune_rate() * 100.0,
-        partition_text(&search.stats),
-    );
-    println!(
-        "served search (one chunk): {:.4}s ({:.2}x), prune {:.1}%; {}",
-        search.served_seconds,
-        search.baseline_seconds / search.served_seconds,
-        search.served_stats.prune_rate() * 100.0,
-        partition_text(&search.served_stats),
-    );
-
-    let (knn, knn_mismatches) = knn_run(knn_instances, 16, len);
-    mismatches += knn_mismatches;
-    let s = knn.stats;
-    println!(
-        "kNN (banded DTW r={}, k={}): {} instances x {} queries: exhaustive {:.4}s, pruned {:.4}s ({:.2}x); kim {} keogh {} abandoned {} full {}",
-        knn.radius,
-        knn.k,
-        knn.instances,
-        knn.queries,
-        knn.exhaustive_seconds,
-        knn.pruned_seconds,
-        knn.exhaustive_seconds / knn.pruned_seconds,
-        s.pruned_by_kim,
-        s.pruned_by_keogh,
-        s.abandoned_early,
-        s.full_computations,
-    );
-
-    let payload = json(&rows, &analog, &search, &knn, mismatches, quick);
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_kernels.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("wrote {path}");
-
-    if mismatches > 0 {
-        eprintln!(
-            "\n{mismatches} identity mismatch(es) — the rework changed kernel or analog values"
-        );
-        std::process::exit(1);
-    }
-    if search_speedup < 2.0 {
-        eprintln!(
-            "\nsearch speedup gate FAILED: {search_speedup:.2}x < 2.0x over the pre-rework path"
-        );
-        std::process::exit(1);
-    }
-    println!("\nidentity gate passed; search speedup gate passed ({search_speedup:.2}x)");
+    rec.at_most("identity_mismatches", mismatches, 0);
+    rec.at_least("search_speedup", search_speedup, 2.0);
+    rec.finish()
 }

@@ -13,16 +13,23 @@
 //!    than billing everything at the digital host's draw.
 //!
 //! ```text
-//! routing [--addr HOST:PORT] [--queries N] [--fleet-watts W]
+//! routing [--addr HOST:PORT]
 //! ```
 //!
 //! Writes `results/BENCH_routing.json`.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
+use mda_bench::Record;
 use mda_distance::{boxed_distance, DistanceKind};
 use mda_routing::{default_backends, BackendId, Sla, DIGITAL_HOST_WATTS};
 use mda_server::{Client, QueryOptions, Server, ServerConfig};
+
+/// Pair queries in the mixed workload.
+const QUERIES: usize = 240;
+/// The in-process server's fleet power budget, W.
+const FLEET_WATTS: f64 = 50.0;
 
 /// Series inside the DAC's ±6.25-unit encodable range, so tolerance
 /// queries genuinely exercise the analog path.
@@ -36,7 +43,6 @@ struct Tally {
     selected: BTreeMap<&'static str, u64>,
     sla_violations: u64,
     missing_reports: u64,
-    fallback_like: u64,
     routed_watt_answers: f64,
     answers: u64,
 }
@@ -51,38 +57,21 @@ impl Tally {
             selected,
             sla_violations: 0,
             missing_reports: 0,
-            fallback_like: 0,
             routed_watt_answers: 0.0,
             answers: 0,
         }
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut addr_arg: Option<String> = None;
-    let mut queries: usize = 240;
-    let mut fleet_watts: f64 = 50.0;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => addr_arg = Some(it.next().expect("--addr needs HOST:PORT")),
-            "--queries" => {
-                queries = it
-                    .next()
-                    .expect("--queries needs N")
-                    .parse()
-                    .expect("--queries must be a number");
-            }
-            "--fleet-watts" => {
-                fleet_watts = it
-                    .next()
-                    .expect("--fleet-watts needs W")
-                    .parse()
-                    .expect("--fleet-watts must be a number");
-            }
             other => {
                 eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     }
@@ -91,7 +80,7 @@ fn main() {
     let server = if in_process {
         Some(
             Server::start(ServerConfig {
-                fleet_power_w: fleet_watts,
+                fleet_power_w: FLEET_WATTS,
                 ..ServerConfig::default()
             })
             .expect("start in-process server"),
@@ -104,7 +93,7 @@ fn main() {
         (None, Some(a)) => a.parse().expect("--addr must be HOST:PORT"),
         (None, None) => unreachable!(),
     };
-    println!("routing bench -> {addr} ({queries} queries, {fleet_watts} W fleet)");
+    println!("routing bench -> {addr}");
 
     let mut client = Client::connect(addr).expect("connect");
     let backends = default_backends();
@@ -116,7 +105,7 @@ fn main() {
     // Mixed workload: every kind, half exact, half tolerance-tagged with
     // the loosest ε the analog path can provably satisfy at this length.
     let len = 96usize;
-    for i in 0..queries {
+    for i in 0..QUERIES {
         let kind = DistanceKind::ALL[i % DistanceKind::ALL.len()];
         let p = series(len, 2 * i + 1);
         let q = series(len, 2 * i + 2);
@@ -164,8 +153,6 @@ fn main() {
             // match plane (which undercuts it on the thresholded kinds).
             if matches!(route.backend, BackendId::Analog | BackendId::Acam) {
                 tolerance_analog += 1;
-            } else {
-                tally.fallback_like += 1;
             }
             let err = (routed.value - reference).abs();
             if err > epsilon || err.is_nan() {
@@ -186,99 +173,37 @@ fn main() {
     } else {
         0.0
     };
-    println!("  answers: {}", tally.answers);
-    for (backend, count) in &tally.selected {
-        println!("    {backend}: {count}");
-    }
-    println!(
-        "  tolerance queries: {tolerance_pair_queries} ({tolerance_analog} analog, \
-         {:.0}% of bulk)",
-        analog_fraction * 100.0
-    );
-    println!(
-        "  modeled power: {mean_routed_w:.2} W/answer routed vs {all_digital_w:.2} W/answer \
-         all-digital ({:.1}x less)",
-        all_digital_w / mean_routed_w
-    );
-    println!(
-        "  sla violations: {} | missing route reports: {}",
-        tally.sla_violations, tally.missing_reports
-    );
-
-    let selected_json: String = tally
-        .selected
-        .iter()
-        .map(|(backend, count)| format!("    \"{backend}\": {count}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let payload = format!(
-        concat!(
-            "{{\n",
-            "  \"queries\": {},\n",
-            "  \"fleet_watts\": {},\n",
-            "  \"in_process\": {},\n",
-            "  \"backend_selected\": {{\n{}\n  }},\n",
-            "  \"tolerance_queries\": {},\n",
-            "  \"tolerance_analog\": {},\n",
-            "  \"tolerance_analog_fraction\": {:.4},\n",
-            "  \"mean_routed_watts\": {:.4},\n",
-            "  \"all_digital_watts\": {:.4},\n",
-            "  \"power_saving_ratio\": {:.4},\n",
-            "  \"sla_violations\": {},\n",
-            "  \"missing_route_reports\": {}\n",
-            "}}\n",
-        ),
-        tally.answers,
-        fleet_watts,
-        in_process,
-        selected_json,
-        tolerance_pair_queries,
-        tolerance_analog,
-        analog_fraction,
-        mean_routed_w,
-        all_digital_w,
-        all_digital_w / mean_routed_w,
-        tally.sla_violations,
-        tally.missing_reports,
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_routing.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("wrote {path}");
-
     if let Some(server) = server {
         server.shutdown_and_join();
     }
 
-    // Gates — all fatal: the routing contract is not advisory.
-    let mut failed = false;
-    if tally.sla_violations > 0 {
-        eprintln!("GATE: {} SLA violation(s)", tally.sla_violations);
-        failed = true;
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), false);
+    rec.row("workload")
+        .set("queries", tally.answers)
+        .set("fleet_watts", FLEET_WATTS)
+        .set("in_process", in_process)
+        .set("tolerance_queries", tolerance_pair_queries)
+        .set("tolerance_analog", tolerance_analog)
+        .set("tolerance_analog_fraction", analog_fraction)
+        .set("mean_routed_watts", mean_routed_w)
+        .set("all_digital_watts", all_digital_w)
+        .set("power_saving_ratio", all_digital_w / mean_routed_w);
+    for (backend, count) in &tally.selected {
+        rec.row("backend_selected")
+            .set("backend", *backend)
+            .set("answers", *count);
     }
-    if tally.missing_reports > 0 {
-        eprintln!(
-            "GATE: {} accuracy-tagged replies carried no routing report",
-            tally.missing_reports
-        );
-        failed = true;
-    }
-    if analog_fraction <= 0.5 {
-        eprintln!(
-            "GATE: only {:.0}% of tolerance-tagged queries reached the analog fabric",
-            analog_fraction * 100.0
-        );
-        failed = true;
-    }
-    if mean_routed_w >= all_digital_w {
-        eprintln!(
-            "GATE: routed workload modeled at {mean_routed_w:.2} W/answer — not below the \
-             {all_digital_w:.2} W all-digital baseline"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("routing gates: zero SLA violations, analog bulk, power saving — all pass");
+
+    // All fatal: the routing contract is not advisory.
+    rec.at_most("sla_violations", tally.sla_violations, 0);
+    rec.at_most("missing_route_reports", tally.missing_reports, 0);
+    rec.holds(
+        "tolerance_analog_fraction_above_half",
+        analog_fraction > 0.5,
+    );
+    rec.holds(
+        "routed_below_all_digital_watts",
+        mean_routed_w < all_digital_w,
+    );
+    rec.finish()
 }

@@ -1,11 +1,10 @@
-//! Load generator for `mda-server`: drives the service at configurable
+//! Load generator for `mda-server`: drives the service at fixed
 //! concurrency, verifies served results are bitwise identical to direct
 //! library calls, and measures how request coalescing, connection
 //! multiplexing, and resident datasets scale the service.
 //!
 //! ```text
-//! serve_loadgen [--addr HOST:PORT] [--clients N] [--seconds S]
-//!               [--conns N] [--rounds N] [--strict]
+//! serve_loadgen [--addr HOST:PORT] [--strict]
 //! ```
 //!
 //! Without `--addr`, an in-process server is started on a loopback port.
@@ -13,30 +12,41 @@
 //!
 //! 1. **identity** — all six distance kinds + kNN, bitwise vs direct
 //!    library calls (always fatal);
-//! 2. **throughput** — 1 client vs `--clients` concurrent clients issuing
+//! 2. **throughput** — 1 client vs [`CLIENTS`] concurrent clients issuing
 //!    DTW queries back to back; the coalescing ratio between the two is
 //!    gated under `--strict`, scaled to the host's core count (a 1-core
 //!    container cannot show parallel speedup no matter how good the
 //!    batching is, so its requirement bottoms out below 1x);
-//! 3. **connection storm** — `--conns` connections (default 1000) all held
-//!    open concurrently, each driving pipelined request rounds whose
+//! 3. **connection storm** — [`CONNS`] connections all held open
+//!    concurrently, each driving [`ROUNDS`] pipelined request rounds whose
 //!    replies must be bitwise identical (always fatal);
 //! 4. **resident datasets** — the same kNN workload inline vs resident;
 //!    results must match bitwise and the resident path must move at least
 //!    10x fewer wire bytes (always fatal).
 //!
-//! Writes `results/BENCH_serve.json`.
+//! Writes `results/BENCH_serve_loadgen.json`, even when a gate fails.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use mda_bench::Record;
 use mda_distance::mining::KnnClassifier;
 use mda_distance::{boxed_distance, DistanceKind};
 use mda_server::protocol::{
     encode_request, DatasetEntry, DatasetRef, Envelope, Request, TrainInstance,
 };
 use mda_server::{Client, QueryOptions, Server, ServerConfig};
+
+/// Concurrent clients in the throughput phase.
+const CLIENTS: usize = 8;
+/// Length of each throughput phase, s.
+const SECONDS: f64 = 2.0;
+/// Connections the storm phase holds open at once.
+const CONNS: usize = 1000;
+/// Pipelined request rounds per storm connection.
+const ROUNDS: usize = 3;
 
 fn series(len: usize, seed: usize) -> Vec<f64> {
     (0..len)
@@ -352,46 +362,18 @@ fn metric(text: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut addr_arg: Option<String> = None;
-    let mut clients = 8usize;
-    let mut seconds = 2.0f64;
-    let mut conns = 1000usize;
-    let mut rounds = 3usize;
     let mut strict = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--addr" => addr_arg = args.next(),
-            "--clients" => {
-                clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients N");
-            }
-            "--seconds" => {
-                seconds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds S");
-            }
-            "--conns" => {
-                conns = args.next().and_then(|v| v.parse().ok()).expect("--conns N");
-            }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N");
-            }
             "--strict" => strict = true,
             other => {
                 eprintln!("unknown flag `{other}`");
-                eprintln!(
-                    "usage: serve_loadgen [--addr HOST:PORT] [--clients N] [--seconds S] \
-                     [--conns N] [--rounds N] [--strict]"
-                );
-                std::process::exit(2);
+                eprintln!("usage: serve_loadgen [--addr HOST:PORT] [--strict]");
+                return ExitCode::from(2);
             }
         }
     }
@@ -401,7 +383,7 @@ fn main() {
     let server = if in_process {
         Some(
             Server::start(ServerConfig {
-                max_connections: conns + 64,
+                max_connections: CONNS + 64,
                 ..ServerConfig::default()
             })
             .expect("start in-process server"),
@@ -414,173 +396,87 @@ fn main() {
         (None, Some(a)) => a.parse().expect("--addr must be HOST:PORT"),
         (None, None) => unreachable!(),
     };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "serve_loadgen -> {addr} ({cores} core(s), {clients} clients, {seconds}s per phase, \
-         {conns} storm conns x {rounds} rounds)"
-    );
+    println!("serve_loadgen -> {addr}");
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), false);
+    rec.row("run")
+        .set("in_process", in_process)
+        .set("strict", strict)
+        .set("seconds_per_phase", SECONDS);
 
-    // Identity gate: always fatal.
-    if let Err(e) = identity_check(addr) {
-        eprintln!("IDENTITY GATE: {e}");
-        std::process::exit(1);
+    // Identity: always fatal.
+    let identity = identity_check(addr);
+    if let Err(e) = &identity {
+        eprintln!("identity: {e}");
     }
-    println!("identity gate: all six kinds + kNN bitwise-identical to direct calls");
+    rec.holds("identity", identity.is_ok());
 
-    let (n1, e1, qps1) = run_load(addr, 1, seconds);
-    println!("  1 client : {n1} requests ({e1} errors), {qps1:.0} req/s");
-    let (nc, ec, qpsc) = run_load(addr, clients, seconds);
-    println!("  {clients} clients: {nc} requests ({ec} errors), {qpsc:.0} req/s");
-    let ratio = if qps1 > 0.0 { qpsc / qps1 } else { 0.0 };
-    println!("  concurrency ratio: {ratio:.2}x");
-
-    // Connection storm: every connection open at once, pipelined rounds.
-    let storm = run_connection_storm(addr, conns, rounds);
-    println!(
-        "  storm: {}/{} conns held, {} requests ({} errors, {} mismatches), {:.0} req/s",
-        storm.held, conns, storm.requests, storm.errors, storm.mismatches, storm.qps
-    );
-
-    // Resident datasets: same workload, fraction of the wire bytes.
-    let resident = match run_resident_phase(addr) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("RESIDENT GATE: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "  resident: {} kNN queries, inline {} B vs resident {} B on the wire ({:.1}x reduction)",
-        resident.queries, resident.inline_bytes, resident.resident_bytes, resident.reduction
-    );
-
-    let metrics_text = Client::connect(addr)
-        .and_then(|mut c| c.metrics_text())
-        .unwrap_or_default();
-    let occupancy = metric(&metrics_text, "mda_batch_occupancy_mean");
-    let shed = metric(&metrics_text, "mda_shed_total");
-    let p99_us = metric(&metrics_text, "mda_latency_us{quantile=\"0.99\"}");
-    let depth_mean = metric(&metrics_text, "mda_pipeline_depth_mean");
-    let depth_max = metric(&metrics_text, "mda_pipeline_depth_max");
-    println!(
-        "  batch occupancy: {occupancy:.2} items/batch, shed: {shed:.0}, p99: {p99_us:.0}us, \
-         pipeline depth mean {depth_mean:.2} / max {depth_max:.0}"
-    );
+    let (n1, e1, qps1) = run_load(addr, 1, SECONDS);
+    let (nc, ec, qpsc) = run_load(addr, CLIENTS, SECONDS);
+    for (clients, requests, errors, qps) in [(1, n1, e1, qps1), (CLIENTS, nc, ec, qpsc)] {
+        rec.row("load")
+            .set("clients", clients)
+            .set("requests", requests)
+            .set("errors", errors)
+            .set("qps", qps);
+    }
+    rec.at_most("load_errors", e1 + ec, 0);
 
     // The >= 2x coalescing requirement needs real parallel cores; scale it
     // with available parallelism so 1- and 2-core hosts gate on "no
     // regression" (sub-1x) instead of an impossible speedup.
-    let required_ratio = (cores as f64 / 2.0).clamp(0.85, 2.0);
+    let required_ratio = (rec.cores() as f64 / 2.0).clamp(0.85, 2.0);
+    let ratio = if qps1 > 0.0 { qpsc / qps1 } else { 0.0 };
+    if strict {
+        rec.at_least("concurrency_ratio", ratio, required_ratio);
+    } else {
+        println!(
+            "(coalescing gate advisory: {ratio:.2}x vs {required_ratio:.2}x required; rerun \
+             with --strict to enforce)"
+        );
+    }
 
-    let payload = format!(
-        concat!(
-            "{{\n",
-            "  \"cores\": {},\n",
-            "  \"clients\": {},\n",
-            "  \"seconds\": {},\n",
-            "  \"in_process\": {},\n",
-            "  \"identity_ok\": true,\n",
-            "  \"single_requests\": {},\n",
-            "  \"single_errors\": {},\n",
-            "  \"single_qps\": {:.1},\n",
-            "  \"concurrent_requests\": {},\n",
-            "  \"concurrent_errors\": {},\n",
-            "  \"concurrent_qps\": {:.1},\n",
-            "  \"concurrency_ratio\": {:.3},\n",
-            "  \"required_ratio\": {:.3},\n",
-            "  \"storm_conns_target\": {},\n",
-            "  \"storm_conns_held\": {},\n",
-            "  \"storm_requests\": {},\n",
-            "  \"storm_errors\": {},\n",
-            "  \"storm_mismatches\": {},\n",
-            "  \"storm_qps\": {:.1},\n",
-            "  \"resident_queries\": {},\n",
-            "  \"wire_bytes_inline\": {},\n",
-            "  \"wire_bytes_resident\": {},\n",
-            "  \"wire_reduction\": {:.2},\n",
-            "  \"pipeline_depth_mean\": {:.3},\n",
-            "  \"pipeline_depth_max\": {:.0},\n",
-            "  \"batch_occupancy_mean\": {:.3},\n",
-            "  \"shed_total\": {:.0},\n",
-            "  \"latency_p99_us\": {:.0},\n",
-            "  \"strict\": {}\n",
-            "}}\n",
-        ),
-        cores,
-        clients,
-        seconds,
-        in_process,
-        n1,
-        e1,
-        qps1,
-        nc,
-        ec,
-        qpsc,
-        ratio,
-        required_ratio,
-        conns,
-        storm.held,
-        storm.requests,
-        storm.errors,
-        storm.mismatches,
-        storm.qps,
-        resident.queries,
-        resident.inline_bytes,
-        resident.resident_bytes,
-        resident.reduction,
-        depth_mean,
-        depth_max,
-        occupancy,
-        shed,
-        p99_us,
-        strict,
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_serve.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("wrote {path}");
+    // Connection storm: every connection open at once, pipelined rounds.
+    let storm = run_connection_storm(addr, CONNS, ROUNDS);
+    rec.row("storm")
+        .set("rounds", ROUNDS)
+        .set("requests", storm.requests)
+        .set("qps", storm.qps);
+    rec.at_most("storm_mismatches", storm.mismatches, 0);
+    rec.at_most("storm_errors", storm.errors, 0);
+    rec.at_least("storm_conns_held", storm.held, CONNS);
+
+    // Resident datasets: same workload, fraction of the wire bytes.
+    match run_resident_phase(addr) {
+        Ok(resident) => {
+            rec.row("resident")
+                .set("queries", resident.queries)
+                .set("wire_bytes_inline", resident.inline_bytes)
+                .set("wire_bytes_resident", resident.resident_bytes);
+            rec.holds("resident_identity", true);
+            rec.at_least("wire_reduction", resident.reduction, 10.0);
+        }
+        Err(e) => {
+            eprintln!("resident: {e}");
+            rec.holds("resident_identity", false);
+        }
+    }
+
+    let metrics_text = Client::connect(addr)
+        .and_then(|mut c| c.metrics_text())
+        .unwrap_or_default();
+    let server_metrics = rec.row("server_metrics");
+    for (key, name) in [
+        ("pipeline_depth_mean", "mda_pipeline_depth_mean"),
+        ("pipeline_depth_max", "mda_pipeline_depth_max"),
+        ("batch_occupancy_mean", "mda_batch_occupancy_mean"),
+        ("shed_total", "mda_shed_total"),
+        ("latency_p99_us", "mda_latency_us{quantile=\"0.99\"}"),
+    ] {
+        server_metrics.set(key, metric(&metrics_text, name));
+    }
 
     if let Some(server) = server {
         server.shutdown_and_join();
     }
-
-    if e1 + ec > 0 {
-        eprintln!("LOAD GATE: {} request error(s) under load", e1 + ec);
-        std::process::exit(1);
-    }
-    if storm.mismatches > 0 {
-        eprintln!(
-            "STORM GATE: {} bitwise mismatch(es) across {} connections",
-            storm.mismatches, storm.held
-        );
-        std::process::exit(1);
-    }
-    if storm.errors > 0 || storm.held < conns {
-        eprintln!(
-            "STORM GATE: held {}/{} connections with {} error(s) — raise `ulimit -n`?",
-            storm.held, conns, storm.errors
-        );
-        std::process::exit(1);
-    }
-    if resident.reduction < 10.0 {
-        eprintln!(
-            "RESIDENT GATE: wire reduction {:.1}x < 10x",
-            resident.reduction
-        );
-        std::process::exit(1);
-    }
-    if strict && ratio < required_ratio {
-        eprintln!(
-            "COALESCING GATE: {ratio:.2}x < {required_ratio:.2}x at {clients} clients \
-             (strict mode, {cores} core(s))"
-        );
-        std::process::exit(1);
-    }
-    if !strict {
-        println!(
-            "(coalescing gate advisory: {ratio:.2}x vs {required_ratio:.2}x required on \
-             {cores} core(s); rerun with --strict to enforce)"
-        );
-    }
-    println!("done");
+    rec.finish()
 }

@@ -14,16 +14,18 @@
 //! Each netlist is run once through the legacy solver and once through the
 //! new core on an identical transient spec. Traces must agree to ≤ 1e-12
 //! relative; any deviation beyond that exits non-zero. Wall-clock times,
-//! speedups and the new core's [`SolveStats`] land in
-//! `results/BENCH_spice_solver.json`.
+//! speedups and the new core's [`SolveStats`](mda_spice::SolveStats) land
+//! in `results/BENCH_spice_solver.json`.
 //!
 //! Pass `--quick` (CI smoke mode) to shorten the transients; the identity
 //! gate is identical in both modes.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use mda_bench::Record;
 use mda_core::{pe, AcceleratorConfig};
-use mda_spice::{legacy, Netlist, SolveStats, TransientResult, TransientSpec, Waveform};
+use mda_spice::{legacy, Netlist, TransientResult, TransientSpec, Waveform};
 
 const TOL: f64 = 1.0e-12;
 
@@ -31,15 +33,6 @@ struct Case {
     name: &'static str,
     net: Netlist,
     spec: TransientSpec,
-}
-
-struct Outcome {
-    name: &'static str,
-    steps: usize,
-    legacy_seconds: f64,
-    new_seconds: f64,
-    max_rel_dev: f64,
-    stats: SolveStats,
 }
 
 fn pe_cell(quick: bool) -> Case {
@@ -131,7 +124,9 @@ fn max_rel_dev(a: &TransientResult, b: &TransientResult) -> f64 {
     worst
 }
 
-fn run_case(case: &Case) -> Outcome {
+/// Runs one netlist through both solvers into a `cases` row and gates its
+/// deviation.
+fn run_case(rec: &mut Record, case: &Case) {
     let start = Instant::now();
     let reference = legacy::run_transient(&case.net, &case.spec).expect("legacy run");
     let legacy_seconds = start.elapsed().as_secs_f64();
@@ -140,119 +135,37 @@ fn run_case(case: &Case) -> Outcome {
     let new = case.net.transient(&case.spec).expect("new-core run");
     let new_seconds = start.elapsed().as_secs_f64();
 
-    Outcome {
-        name: case.name,
-        steps: new.len() - 1,
-        legacy_seconds,
-        new_seconds,
-        max_rel_dev: max_rel_dev(&reference, &new),
-        stats: new.stats().clone(),
-    }
+    let dev = max_rel_dev(&reference, &new);
+    let st = new.stats();
+    rec.row("cases")
+        .set("name", case.name)
+        .set("steps", new.len() - 1)
+        .set("legacy_seconds", legacy_seconds)
+        .set("new_seconds", new_seconds)
+        .set("speedup", legacy_seconds / new_seconds)
+        .set("max_rel_dev", dev)
+        .set("n_unknowns", st.n_unknowns)
+        .set("base_nnz", st.base_nnz)
+        .set("factor_nnz", st.factor_nnz)
+        .set("fill_ratio", st.fill_ratio())
+        .set("solve_points", st.solve_points)
+        .set("newton_iterations", st.newton_iterations)
+        .set("full_factorizations", st.full_factorizations)
+        .set("refactorizations", st.refactorizations)
+        .set("factor_reuses", st.factor_reuses)
+        .set("residual_fallbacks", st.residual_fallbacks)
+        .set("assembly_seconds", st.assembly_seconds)
+        .set("factor_seconds", st.factor_seconds)
+        .set("solve_seconds", st.solve_seconds);
+    rec.at_most(&format!("max_rel_dev_{}", case.name), dev, TOL);
 }
 
-fn json(outcomes: &[Outcome], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"tolerance\": {TOL:e},\n"));
-    s.push_str("  \"cases\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let st = &o.stats;
-        s.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"steps\": {},\n",
-                "      \"legacy_seconds\": {:.6},\n",
-                "      \"new_seconds\": {:.6},\n",
-                "      \"speedup\": {:.2},\n",
-                "      \"max_rel_dev\": {:e},\n",
-                "      \"stats\": {{\n",
-                "        \"n_unknowns\": {},\n",
-                "        \"base_nnz\": {},\n",
-                "        \"factor_nnz\": {},\n",
-                "        \"fill_ratio\": {:.3},\n",
-                "        \"solve_points\": {},\n",
-                "        \"newton_iterations\": {},\n",
-                "        \"full_factorizations\": {},\n",
-                "        \"refactorizations\": {},\n",
-                "        \"factor_reuses\": {},\n",
-                "        \"residual_fallbacks\": {},\n",
-                "        \"assembly_seconds\": {:.6},\n",
-                "        \"factor_seconds\": {:.6},\n",
-                "        \"solve_seconds\": {:.6}\n",
-                "      }}\n",
-                "    }}{}\n",
-            ),
-            o.name,
-            o.steps,
-            o.legacy_seconds,
-            o.new_seconds,
-            o.legacy_seconds / o.new_seconds,
-            o.max_rel_dev,
-            st.n_unknowns,
-            st.base_nnz,
-            st.factor_nnz,
-            st.fill_ratio(),
-            st.solve_points,
-            st.newton_iterations,
-            st.full_factorizations,
-            st.refactorizations,
-            st.factor_reuses,
-            st.residual_fallbacks,
-            st.assembly_seconds,
-            st.factor_seconds,
-            st.solve_seconds,
-            if i + 1 < outcomes.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cases = [pe_cell(quick), diode_chain(quick), array_40x40(quick)];
-
-    println!(
-        "spice solver core vs legacy baseline{}\n",
-        if quick { " (quick mode)" } else { "" }
-    );
-    let mut table = mda_bench::Table::new([
-        "netlist", "unknowns", "steps", "legacy", "new", "speedup", "max dev",
-    ]);
-    let mut outcomes = Vec::with_capacity(cases.len());
-    let mut gate_failures = 0usize;
-    for case in &cases {
-        let o = run_case(case);
-        if o.max_rel_dev > TOL {
-            eprintln!(
-                "IDENTITY GATE: {} deviates {:.3e} > {TOL:e} from the legacy path",
-                o.name, o.max_rel_dev
-            );
-            gate_failures += 1;
-        }
-        table.row([
-            o.name.into(),
-            o.stats.n_unknowns.to_string(),
-            o.steps.to_string(),
-            format!("{:.3}s", o.legacy_seconds),
-            format!("{:.3}s", o.new_seconds),
-            format!("{:.1}x", o.legacy_seconds / o.new_seconds),
-            format!("{:.1e}", o.max_rel_dev),
-        ]);
-        outcomes.push(o);
+    println!("spice solver core vs legacy baseline");
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), quick);
+    for case in [pe_cell(quick), diode_chain(quick), array_40x40(quick)] {
+        run_case(&mut rec, &case);
     }
-    println!("{}", table.render());
-
-    let payload = json(&outcomes, quick);
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_spice_solver.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("\nwrote {path}");
-
-    if gate_failures > 0 {
-        eprintln!("\n{gate_failures} identity-gate failure(s)");
-        std::process::exit(1);
-    }
-    println!("all traces within {TOL:e} of the legacy solver");
+    rec.finish()
 }

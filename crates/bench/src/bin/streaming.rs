@@ -24,9 +24,10 @@
 //! Writes `results/BENCH_streaming.json`. `--quick` shrinks the workload
 //! for CI; all three gates stay fatal in both modes.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use mda_bench::Table;
+use mda_bench::Record;
 use mda_distance::lower_bounds::{envelope, Cascade, PruneDecision};
 use mda_distance::{znorm, DpScratch};
 use mda_streaming::{
@@ -126,24 +127,6 @@ fn identity_gate(quick: bool) -> Result<(usize, u64), String> {
     Ok((configs, pushes))
 }
 
-struct SpeedRow {
-    window: usize,
-    band: usize,
-    points: usize,
-    naive_seconds: f64,
-    incremental_seconds: f64,
-    cascade: PruneFrameStats,
-    /// Untimed cross-check: every incremental certified bound admissible
-    /// against the naive exact distance, bitwise equal on computed epochs.
-    admissible: bool,
-}
-
-impl SpeedRow {
-    fn speedup(&self) -> f64 {
-        self.naive_seconds / self.incremental_seconds
-    }
-}
-
 /// One push of the naive baseline: the batch paths over the current
 /// window, the way a stateless batch-API client would serve a push-mode
 /// answer — fresh allocations, a fresh cascade and cold scratch, and (no
@@ -164,8 +147,9 @@ fn naive_push(query: &[f64], win: &[f64], band: usize) -> f64 {
 }
 
 /// Gate 2 measurement at one window: the incremental pipeline vs the
-/// stateless per-push batch recompute.
-fn speed_row(window: usize, len: usize) -> SpeedRow {
+/// stateless per-push batch recompute, as one `pipelines` row. Returns the
+/// speedup and whether every certified bound was admissible.
+fn speed_row(rec: &mut Record, window: usize, len: usize) -> (f64, bool) {
     let (query, points) = workload(len, window);
     let config = stream_config(window, query);
     let band = config.band;
@@ -219,15 +203,23 @@ fn speed_row(window: usize, len: usize) -> SpeedRow {
         }
     }
 
-    SpeedRow {
-        window,
-        band,
-        points: len,
-        naive_seconds: t_naive,
-        incremental_seconds: t_incr,
-        cascade,
-        admissible,
-    }
+    let warm = (len - window + 1) as f64;
+    let speedup = t_naive / t_incr;
+    rec.row("pipelines")
+        .set("window", window)
+        .set("band", band)
+        .set("points", len)
+        .set("naive_seconds", t_naive)
+        .set("incremental_seconds", t_incr)
+        .set("naive_us_per_push", t_naive * 1e6 / warm)
+        .set("incremental_us_per_push", t_incr * 1e6 / warm)
+        .set("speedup", speedup)
+        .set("admissible", admissible)
+        .set("cascade_computed", cascade.computed)
+        .set("cascade_pruned_kim", cascade.pruned_kim)
+        .set("cascade_pruned_keogh", cascade.pruned_keogh)
+        .set("cascade_abandoned", cascade.abandoned);
+    (speedup, admissible)
 }
 
 /// Gate 3: two replays of one recording must render byte-identically.
@@ -245,106 +237,25 @@ fn replay_gate(quick: bool) -> (ReplayOutcome, bool) {
     (first, stable)
 }
 
-fn json(
-    rows: &[SpeedRow],
-    identity: &(usize, u64),
-    replayed: &ReplayOutcome,
-    replay_stable: bool,
-    quick: bool,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        concat!(
-            "  \"identity\": {{\n",
-            "    \"configs\": {},\n",
-            "    \"pushes\": {},\n",
-            "    \"mismatches\": 0\n",
-            "  }},\n",
-        ),
-        identity.0, identity.1,
-    ));
-    s.push_str("  \"pipelines\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let warm = (r.points - r.window + 1) as f64;
-        s.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"window\": {},\n",
-                "      \"band\": {},\n",
-                "      \"points\": {},\n",
-                "      \"naive_seconds\": {:.6},\n",
-                "      \"incremental_seconds\": {:.6},\n",
-                "      \"naive_us_per_push\": {:.3},\n",
-                "      \"incremental_us_per_push\": {:.3},\n",
-                "      \"speedup\": {:.3},\n",
-                "      \"admissible\": {},\n",
-                "      \"cascade\": {{\n",
-                "        \"computed\": {},\n",
-                "        \"pruned_kim\": {},\n",
-                "        \"pruned_keogh\": {},\n",
-                "        \"abandoned\": {}\n",
-                "      }}\n",
-                "    }}{}\n",
-            ),
-            r.window,
-            r.band,
-            r.points,
-            r.naive_seconds,
-            r.incremental_seconds,
-            r.naive_seconds * 1e6 / warm,
-            r.incremental_seconds * 1e6 / warm,
-            r.speedup(),
-            r.admissible,
-            r.cascade.computed,
-            r.cascade.pruned_kim,
-            r.cascade.pruned_keogh,
-            r.cascade.abandoned,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        concat!(
-            "  \"replay\": {{\n",
-            "    \"pushes\": {},\n",
-            "    \"warming\": {},\n",
-            "    \"virtual_elapsed_ns\": {},\n",
-            "    \"fingerprint\": \"{:016x}\",\n",
-            "    \"byte_stable\": {}\n",
-            "  }}\n",
-        ),
-        replayed.pushes,
-        replayed.warming,
-        replayed.virtual_elapsed_ns,
-        replayed.fingerprint,
-        replay_stable,
-    ));
-    s.push_str("}\n");
-    s
-}
-
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
-    println!(
-        "streaming push-mode bench (serial){}\n",
-        if quick { " — quick" } else { "" }
-    );
+    println!("streaming push-mode bench (serial)");
+    let mut rec = Record::new(env!("CARGO_BIN_NAME"), quick);
 
     // Gate 1: differential identity.
-    let identity = match identity_gate(quick) {
-        Ok(counts) => {
-            println!(
-                "differential identity gate: {} configs, {} gated pushes, all bitwise",
-                counts.0, counts.1
-            );
-            counts
+    let mismatches = match identity_gate(quick) {
+        Ok((configs, pushes)) => {
+            rec.row("identity")
+                .set("configs", configs)
+                .set("pushes", pushes);
+            0u64
         }
         Err(e) => {
             eprintln!("DIFFERENTIAL IDENTITY MISMATCH: {e}");
-            std::process::exit(1);
+            1
         }
     };
+    rec.at_most("identity_mismatches", mismatches, 0);
 
     // Gate 2: incremental vs naive per-push recompute.
     let sweep: &[(usize, usize)] = if quick {
@@ -352,83 +263,26 @@ fn main() {
     } else {
         &[(64, 8192), (128, 8192), (256, 8192), (GATE_WINDOW, 8192)]
     };
-    let rows: Vec<SpeedRow> = sweep.iter().map(|&(w, n)| speed_row(w, n)).collect();
-
-    let mut table = Table::new([
-        "window",
-        "band",
-        "points",
-        "naive us/push",
-        "incr us/push",
-        "speedup",
-        "cascade (c/k/g/a)",
-    ]);
-    for r in &rows {
-        let warm = (r.points - r.window + 1) as f64;
-        table.row([
-            r.window.to_string(),
-            r.band.to_string(),
-            r.points.to_string(),
-            format!("{:.2}", r.naive_seconds * 1e6 / warm),
-            format!("{:.2}", r.incremental_seconds * 1e6 / warm),
-            format!("{:.2}x", r.speedup()),
-            format!(
-                "{}/{}/{}/{}",
-                r.cascade.computed,
-                r.cascade.pruned_kim,
-                r.cascade.pruned_keogh,
-                r.cascade.abandoned
-            ),
-        ]);
+    let mut gate_speedup = 0.0;
+    let mut inadmissible = 0usize;
+    for &(window, len) in sweep {
+        let (speedup, admissible) = speed_row(&mut rec, window, len);
+        inadmissible += usize::from(!admissible);
+        if window == GATE_WINDOW {
+            gate_speedup = speedup;
+        }
     }
-    println!("\n{}", table.render());
+    rec.at_most("inadmissible_windows", inadmissible, 0);
+    let gate = format!("speedup_at_window_{GATE_WINDOW}");
+    rec.at_least(&gate, gate_speedup, GATE_SPEEDUP);
 
     // Gate 3: replay byte-stability.
     let (replayed, replay_stable) = replay_gate(quick);
-    println!(
-        "replay: {} pushes, virtual {} ms, fingerprint {:016x}, byte-stable: {}",
-        replayed.pushes,
-        replayed.virtual_elapsed_ns / 1_000_000,
-        replayed.fingerprint,
-        replay_stable,
-    );
-
-    let payload = json(&rows, &identity, &replayed, replay_stable, quick);
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_streaming.json";
-    std::fs::write(path, payload).expect("write bench json");
-    println!("wrote {path}");
-
-    let mut failed = false;
-    for r in &rows {
-        if !r.admissible {
-            eprintln!(
-                "ADMISSIBILITY FAILURE at window {}: incremental bounds disagree with exact distances",
-                r.window
-            );
-            failed = true;
-        }
-    }
-    let gate_row = rows
-        .iter()
-        .find(|r| r.window == GATE_WINDOW)
-        .expect("sweep includes the gate window");
-    if gate_row.speedup() < GATE_SPEEDUP {
-        eprintln!(
-            "\nspeedup gate FAILED: {:.2}x < {GATE_SPEEDUP}x over naive per-push recompute at window {GATE_WINDOW}",
-            gate_row.speedup()
-        );
-        failed = true;
-    }
-    if !replay_stable {
-        eprintln!("\nreplay gate FAILED: two replays of one recording rendered differently");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "\nidentity gate passed; speedup gate passed ({:.2}x at window {GATE_WINDOW}); replay gate passed",
-        gate_row.speedup()
-    );
+    rec.row("replay")
+        .set("pushes", replayed.pushes)
+        .set("warming", replayed.warming)
+        .set("virtual_elapsed_ns", replayed.virtual_elapsed_ns)
+        .set("fingerprint", format!("{:016x}", replayed.fingerprint));
+    rec.holds("replay_byte_stable", replay_stable);
+    rec.finish()
 }
