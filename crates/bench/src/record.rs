@@ -1,7 +1,8 @@
 //! The one result format every gated bench binary writes.
 //!
 //! A [`Record`] carries what produced the run — the binary, the mode
-//! (`quick` or `full`), the host's core count and the commit — beside
+//! (`quick` or `full`), the host's core count and the commit, marked
+//! `-dirty` when tracked files differ from it — beside
 //! titled sections of rows and named gates. [`Record::finish`] prints the
 //! sections as [`Table`]s and each gate's verdict, writes the record as
 //! JSON through [`mda_server::json::Json`], and returns the process exit
@@ -112,14 +113,13 @@ pub struct Record {
 impl Record {
     /// An empty record for binary `bin` (pass `env!("CARGO_BIN_NAME")`).
     pub fn new(bin: &str, quick: bool) -> Record {
-        let commit = Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-            .filter(|hash| !hash.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
+        let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+            Some(hash) if !hash.trim().is_empty() => commit_label(
+                hash.trim(),
+                &git(&["status", "--porcelain", "--untracked-files=no"]).unwrap_or_default(),
+            ),
+            _ => "unknown".to_string(),
+        };
         Record {
             bin: bin.to_string(),
             quick,
@@ -270,6 +270,27 @@ impl Record {
     }
 }
 
+/// The standard output of `git args`, if it ran and succeeded.
+fn git(args: &[&str]) -> Option<String> {
+    Command::new("git")
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// The commit a record names: `hash`, marked `-dirty` when `porcelain`
+/// (`git status --porcelain --untracked-files=no`) lists a tracked change,
+/// since the run then measured code that commit does not hold.
+fn commit_label(hash: &str, porcelain: &str) -> String {
+    if porcelain.trim().is_empty() {
+        hash.to_string()
+    } else {
+        format!("{hash}-dirty")
+    }
+}
+
 /// A cell as the console shows it: strings unquoted, the rest as in JSON.
 fn text(value: &Json) -> String {
     match value {
@@ -394,6 +415,20 @@ mod tests {
         assert_eq!(gate.get("passed").and_then(Json::as_bool), Some(false));
         assert_eq!(gate.get("observed").and_then(Json::as_f64), Some(4.99));
         std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    #[test]
+    fn a_tracked_change_marks_the_commit_dirty() {
+        assert_eq!(commit_label("7ea1f9c", ""), "7ea1f9c");
+        assert_eq!(commit_label("7ea1f9c", "\n"), "7ea1f9c");
+        assert_eq!(
+            commit_label("7ea1f9c", " M crates/bench/src/record.rs\n"),
+            "7ea1f9c-dirty"
+        );
+        assert_eq!(
+            commit_label("7ea1f9c", "M  a.rs\nD  b.rs\n"),
+            "7ea1f9c-dirty"
+        );
     }
 
     #[test]

@@ -25,12 +25,19 @@
 //!   in a register, with `min(up, diag)` computed off the row's serial
 //!   chain.
 //!
-//! Both produce bitwise-identical results to the full-matrix reference
+//! * [`Dtw::distance_early_abandon_lanes`] is the row-major kernel over
+//!   [`LANES`] equal-length candidates at once: the candidates sit
+//!   transposed and each DP cell is `[f64; LANES]`, so the row's serial
+//!   chain advances every lane in one vector step.
+//!
+//! All produce bitwise-identical results to the full-matrix reference
 //! ([`Dtw::matrix`]). The wavefront keeps the per-cell operation order
 //! `cost + min(min(left, up), diag)` exactly; the early-abandon kernel
 //! regroups the `min`, which is exact because no cell is ever `-0.0` and
 //! `f64::min` skips a NaN cell (possible only with weights) however it is
 //! grouped.
+
+use std::cmp::Ordering;
 
 use crate::error::DistanceError;
 use crate::matrix::{DpMatrix, PathStep};
@@ -153,10 +160,15 @@ impl Band {
 
     /// Does the band admit a complete warping path from `(1, 1)` to
     /// `(m, n)` for an `m x n` comparison? Exactly when it does not, the
-    /// DTW kernels fail with a "band too narrow" error. O(m): each row's
-    /// segment must be non-empty and reachable from the row above, whose
-    /// segment ends no more than one column before it starts.
+    /// DTW kernels fail with a "band too narrow" error. O(1) for equal
+    /// lengths, O(m) otherwise: each row's segment must be non-empty and
+    /// reachable from the row above, whose segment ends no more than one
+    /// column before it starts.
     pub fn admits_path(self, m: usize, n: usize) -> bool {
+        if m == n {
+            // Every band holds the main diagonal.
+            return true;
+        }
         let mut prev_hi = 0; // row 0 holds only D[0][0]
         for i in 1..=m {
             let (lo, hi) = self.row_range(i, m, n);
@@ -349,6 +361,79 @@ fn early_abandon_dtw<const UNIFORM: bool, F: Fn(usize, usize) -> f64>(
     Some(prev[n])
 }
 
+/// Candidates [`Dtw::distance_early_abandon_lanes`] scores in one pass.
+pub const LANES: usize = 4;
+
+/// [`early_abandon_dtw`] with uniform weights over one to [`LANES`]
+/// candidates of one length. The candidates sit transposed in `scratch`
+/// (slot `j` holds element `j` of each) and each DP cell is
+/// `[f64; LANES]`. Every lane does the scalar kernel's cell operations in
+/// its order and keeps its own row minimum, so its value is bitwise the
+/// scalar kernel's. Lanes past `candidates.len()` start dead, a lane dies
+/// once its row minimum exceeds `best_so_far`, and the pass stops once
+/// every lane is dead. Returns each live lane's `D[m][n]` and `None` for a
+/// dead one. The lane loops are plain arrays, which the compiler
+/// vectorizes.
+fn early_abandon_dtw_lanes(
+    p: &[f64],
+    candidates: &[&[f64]],
+    band: Band,
+    best_so_far: f64,
+    scratch: &mut DpScratch,
+) -> [Option<f64>; LANES] {
+    let (m, n) = (p.len(), candidates[0].len());
+    let mut live: [bool; LANES] = std::array::from_fn(|l| l < candidates.len());
+    let (mut prev, mut curr, qs) = scratch.lanes(n + 1, f64::INFINITY, candidates);
+    prev[0] = [0.0; LANES];
+    for (i, &pi) in (1..=m).zip(p) {
+        let (lo, hi) = band.row_range(i, m, n);
+        if lo > hi {
+            // Every warping path crosses every row, so `D[m][n]` is +inf
+            // in each lane this all-inf row does not abandon.
+            let abandoned = f64::INFINITY > best_so_far;
+            return std::array::from_fn(|l| (live[l] && !abandoned).then_some(f64::INFINITY));
+        }
+        // The next row reads slots `lo' - 1 ..= hi'` of this one, and both
+        // ends only grow: `lo..=hi` is written below and no earlier row in
+        // this buffer reached past `hi`, so only the stale slot `lo - 1`
+        // must become the out-of-band +inf.
+        curr[lo - 1] = [f64::INFINITY; LANES];
+        let mut left = [f64::INFINITY; LANES];
+        let mut row_min = [f64::INFINITY; LANES];
+        let cells = curr[lo..=hi]
+            .iter_mut()
+            .zip(&prev[lo..=hi])
+            .zip(&prev[lo - 1..hi])
+            .zip(&qs[lo - 1..hi]);
+        for (((out, up), diag), qj) in cells {
+            for l in 0..LANES {
+                left[l] = select_min(left[l], select_min(up[l], diag[l])) + (pi - qj[l]).abs();
+                row_min[l] = select_min(row_min[l], left[l]);
+            }
+            *out = left;
+        }
+        // The scalar kernel's test, `row_min > best_so_far`: a NaN on
+        // either side abandons nothing.
+        for (alive, row_min) in live.iter_mut().zip(row_min) {
+            *alive &= row_min.partial_cmp(&best_so_far) != Some(Ordering::Greater);
+        }
+        if live == [false; LANES] {
+            return [None; LANES];
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    std::array::from_fn(|l| live[l].then_some(prev[n][l]))
+}
+
+/// The error the DTW kernels return when the band admits no complete
+/// warping path.
+fn band_too_narrow(m: usize, n: usize) -> DistanceError {
+    DistanceError::InvalidParameter {
+        name: "band",
+        reason: format!("band too narrow: no admissible warping path for lengths {m} and {n}"),
+    }
+}
+
 impl Dtw {
     /// DTW with no band constraint and uniform weights.
     pub fn new() -> Self {
@@ -454,12 +539,7 @@ impl Dtw {
         if v.is_finite() {
             Ok(v)
         } else {
-            Err(DistanceError::InvalidParameter {
-                name: "band",
-                reason: format!(
-                    "band too narrow: no admissible warping path for lengths {m} and {n}"
-                ),
-            })
+            Err(band_too_narrow(m, n))
         }
     }
 
@@ -522,14 +602,64 @@ impl Dtw {
             return Ok(None);
         };
         if !v.is_finite() {
-            return Err(DistanceError::InvalidParameter {
-                name: "band",
-                reason: format!(
-                    "band too narrow: no admissible warping path for lengths {m} and {n}"
-                ),
-            });
+            return Err(band_too_narrow(m, n));
         }
         Ok((v <= best_so_far).then_some(v))
+    }
+
+    /// [`Dtw::distance_early_abandon_with`] for one to [`LANES`] candidates
+    /// of one length in a single row-major pass: lane `l` of the result is
+    /// bitwise what `distance_early_abandon_with(p, candidates[l],
+    /// best_so_far, scratch)` returns, and lanes past `candidates.len()` are
+    /// `None`. With uniform weights the candidates advance together, each
+    /// DP cell holding every lane's value, and the pass stops once every
+    /// lane is abandoned; weighted DTW scores them one at a time.
+    ///
+    /// # Errors
+    ///
+    /// [`DistanceError::InvalidParameter`] for no or more than [`LANES`]
+    /// candidates, [`DistanceError::LengthMismatch`] for candidates of
+    /// different lengths, and otherwise the error of the first candidate
+    /// whose scalar call fails.
+    pub fn distance_early_abandon_lanes(
+        &self,
+        p: &[f64],
+        candidates: &[&[f64]],
+        best_so_far: f64,
+        scratch: &mut DpScratch,
+    ) -> Result<[Option<f64>; LANES], DistanceError> {
+        if candidates.is_empty() || candidates.len() > LANES {
+            return Err(DistanceError::InvalidParameter {
+                name: "candidates",
+                reason: format!("{} candidates; a pass takes 1 to {LANES}", candidates.len()),
+            });
+        }
+        let n = candidates[0].len();
+        if let Some(c) = candidates.iter().find(|c| c.len() != n) {
+            return Err(DistanceError::LengthMismatch {
+                left: n,
+                right: c.len(),
+            });
+        }
+        let mut out = [None; LANES];
+        if !matches!(self.weights, Weights::Uniform) {
+            for (o, q) in out.iter_mut().zip(candidates) {
+                *o = self.distance_early_abandon_with(p, q, best_so_far, scratch)?;
+            }
+            return Ok(out);
+        }
+        if p.is_empty() || n == 0 {
+            return Err(DistanceError::EmptySequence);
+        }
+        let lanes = early_abandon_dtw_lanes(p, candidates, self.band, best_so_far, scratch);
+        for (o, v) in out.iter_mut().zip(lanes) {
+            let Some(v) = v else { continue };
+            if !v.is_finite() {
+                return Err(band_too_narrow(p.len(), n));
+            }
+            *o = (v <= best_so_far).then_some(v);
+        }
+        Ok(out)
     }
 
     /// The path-length-normalized DTW distance: `DTW(P, Q) / |path|`.

@@ -134,14 +134,18 @@ pub fn lb_keogh_envelope(p: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
 }
 
 /// One LB_Keogh term: the L1 distance from `x` to `[l, u]`. Never negative.
+///
+/// `x - u` if `x > u`, else `l - x` if `x < l`, else `0.0` (so a NaN `x`
+/// gives `0.0`, and `x > u` wins when `l > u`). Both candidate terms are
+/// computed and the comparisons only select between them, so the
+/// compiler emits no data-dependent branch in the summing loops.
 #[inline]
 pub(crate) fn keogh_term(x: f64, u: f64, l: f64) -> f64 {
+    let below = if x < l { l - x } else { 0.0 };
     if x > u {
         x - u
-    } else if x < l {
-        l - x
     } else {
-        0.0
+        below
     }
 }
 
@@ -463,6 +467,69 @@ impl Cascade {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The branchy form of [`keogh_term`], kept as its reference.
+    fn keogh_term_branchy(x: f64, u: f64, l: f64) -> f64 {
+        if x > u {
+            x - u
+        } else if x < l {
+            l - x
+        } else {
+            0.0
+        }
+    }
+
+    /// A special value (NaN, ±0, ±inf, extremes), a half-unit grid value
+    /// (so `x`, `u` and `l` tie often) or a continuous one.
+    fn term_input() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 9] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        (0usize..3, 0usize..SPECIAL.len(), -4i32..=4, -4.0..4.0).prop_map(|(kind, s, g, x)| {
+            match kind {
+                0 => SPECIAL[s],
+                1 => g as f64 * 0.5,
+                _ => x,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The branch-free term is bitwise the branchy one on every input,
+        /// `lower > upper`, NaN and signed zeros included.
+        #[test]
+        fn keogh_term_is_bitwise_the_branchy_form(
+            x in term_input(),
+            u in term_input(),
+            l in term_input(),
+        ) {
+            prop_assert_eq!(
+                keogh_term(x, u, l).to_bits(),
+                keogh_term_branchy(x, u, l).to_bits(),
+                "x {} u {} l {}", x, u, l
+            );
+        }
+    }
+
+    #[test]
+    fn keogh_term_edge_cases() {
+        assert_eq!(keogh_term(f64::NAN, 1.0, -1.0).to_bits(), 0.0f64.to_bits());
+        // lower > upper: above the upper bound wins.
+        assert_eq!(keogh_term(2.0, 1.0, 3.0), 1.0);
+        assert_eq!(keogh_term(0.5, 1.0, 3.0), 2.5);
+        assert_eq!(keogh_term(-0.0, 0.0, 0.0).to_bits(), 0.0f64.to_bits());
+    }
 
     fn banded_dtw(p: &[f64], q: &[f64], r: usize) -> f64 {
         Dtw::new()

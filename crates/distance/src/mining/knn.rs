@@ -8,12 +8,12 @@
 use std::collections::BinaryHeap;
 
 use crate::batch::BatchEngine;
-use crate::dtw::{Band, Dtw};
+use crate::dtw::{Band, Dtw, LANES};
 use crate::error::DistanceError;
 use crate::lower_bounds::{envelope, lb_keogh_envelope, lb_kim};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
-use crate::validate::ensure_finite;
+use crate::validate::{ensure_finite, finite_max_abs};
 use crate::Distance;
 
 /// A labelled training instance.
@@ -108,11 +108,6 @@ impl KnnStats {
     }
 }
 
-/// Largest magnitude in `xs` (0 when empty).
-fn max_abs(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
 /// Exact k-NN classification under uniform-weight Sakoe–Chiba DTW of
 /// radius `radius`, pruned with the UCR suite's bounds and early
 /// abandoning. The answer and any error are bitwise what
@@ -125,12 +120,18 @@ fn max_abs(xs: &[f64]) -> f64 {
 /// LB_Kim otherwise. Instances are scanned in bound order (ties by index)
 /// against the running k-th best distance: the scan stops at the first
 /// bound strictly above it, and every DTW before that early-abandons
-/// against it. Skipped instances are provably farther than the final k-th
-/// best, so they enter [`rank_and_vote`] as `+inf` placeholders without
+/// against it. Instances of the query's length go in runs of up to
+/// [`LANES`] consecutive survivors (no more than the heap of the `k` best
+/// lacks while it fills) through [`Dtw::distance_early_abandon_lanes`],
+/// all against the k-th best at the start of the run; the k-th best only
+/// falls, so a lane abandoned against it is farther than the final one
+/// too. Skipped instances are provably farther than the final k-th best,
+/// so they enter [`rank_and_vote`] as `+inf` placeholders without
 /// changing its top `k`. Instances whose DTW could fail (empty, a band
 /// with no warping path, or values large enough to overflow) are
-/// evaluated exhaustively first, in index order, so the lowest-indexed
-/// error is the one returned. `k` is clamped to `1..=train.len()`.
+/// evaluated exhaustively, in index order, after every instance is
+/// checked finite, so the lowest-indexed error is the one returned. `k`
+/// is clamped to `1..=train.len()`.
 ///
 /// # Errors
 ///
@@ -151,75 +152,124 @@ pub fn banded_dtw_knn<S: AsRef<[f64]>>(
             reason: "classifier has no training data".into(),
         });
     }
-    ensure_finite("query", query)?;
-    for s in train {
-        ensure_finite("train", s.as_ref())?;
-    }
+    let query_max = finite_max_abs("query", query)?;
     let band = Band::SakoeChiba(radius);
     let dtw = Dtw::new().with_band(band);
     let k = k.clamp(1, train.len());
-    let mut raw = vec![f64::INFINITY; train.len()];
-    let mut stats = KnnStats::default();
-    // The k smallest distances so far, as a max-heap of bit patterns:
-    // distances are never negative or -0.0, and non-negative f64s order
-    // like their bits.
-    let mut best: BinaryHeap<u64> = BinaryHeap::with_capacity(k + 1);
-    let record = |best: &mut BinaryHeap<u64>, d: f64| {
-        best.push(d.to_bits());
-        if best.len() > k {
-            best.pop();
-        }
+    let mut scan = Scan {
+        raw: vec![f64::INFINITY; train.len()],
+        stats: KnnStats::default(),
+        best: BinaryHeap::with_capacity(k + 1),
+        k,
     };
     // An empty query has no envelope and never reaches the LB_Keogh arm.
     let (upper, lower) = envelope(query, radius).unwrap_or_default();
-    let query_max = max_abs(query);
+    let m = query.len();
+    let mut exhaustive = Vec::new();
     let mut order: Vec<(f64, usize)> = Vec::with_capacity(train.len());
     for (i, s) in train.iter().enumerate() {
         let s = s.as_ref();
-        let (m, n) = (query.len(), s.len());
+        let n = s.len();
         // Each point cost is at most `query_max + max|s|`, and a path sums
         // fewer than m + n of them; the factor 2 absorbs rounding.
-        let overflow_free = ((query_max + max_abs(s)) * (2 * (m + n)) as f64).is_finite();
+        let overflow_free =
+            ((query_max + finite_max_abs("train", s)?) * (2 * (m + n)) as f64).is_finite();
         if m == 0 || n == 0 || !band.admits_path(m, n) || !overflow_free {
-            let d = dtw.distance_with(query, s, scratch)?;
-            raw[i] = d;
-            stats.full_computations += 1;
-            record(&mut best, d);
+            exhaustive.push(i);
         } else if m == n {
             order.push((lb_keogh_envelope(s, &upper, &lower), i));
         } else {
             order.push((lb_kim(query, s)?, i));
         }
     }
+    for i in exhaustive {
+        let d = dtw.distance_with(query, train[i].as_ref(), scratch)?;
+        scan.record(i, Some(d));
+    }
     // Stable: equal bounds stay in index order.
     order.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for (pos, &(bound, i)) in order.iter().enumerate() {
-        let kth = if best.len() == k {
-            f64::from_bits(*best.peek().expect("k >= 1"))
-        } else {
-            f64::INFINITY
-        };
-        if bound > kth {
+    let mut pos = 0;
+    while pos < order.len() {
+        let kth = scan.kth();
+        if order[pos].0 > kth {
             // Every later bound is at least this one.
             for &(_, j) in &order[pos..] {
-                if train[j].as_ref().len() == query.len() {
-                    stats.pruned_by_keogh += 1;
+                if train[j].as_ref().len() == m {
+                    scan.stats.pruned_by_keogh += 1;
                 } else {
-                    stats.pruned_by_kim += 1;
+                    scan.stats.pruned_by_kim += 1;
                 }
             }
             break;
         }
-        match dtw.distance_early_abandon_with(query, train[i].as_ref(), kth, scratch)? {
-            Some(d) => {
-                raw[i] = d;
-                stats.full_computations += 1;
-                record(&mut best, d);
+        // The survivors of the query's length from here on: up to LANES,
+        // but while the heap fills only as many as it lacks, so the first
+        // k run to the end as in a one-at-a-time scan and every later run
+        // meets a finite k-th best.
+        let width = match k - scan.best.len() {
+            0 => LANES,
+            missing => missing.min(LANES),
+        };
+        let mut run: [&[f64]; LANES] = [&[]; LANES];
+        let mut len = 0;
+        for &(bound, i) in order[pos..].iter().take(width) {
+            let s = train[i].as_ref();
+            if bound > kth || s.len() != m {
+                break;
             }
-            None => stats.abandoned_early += 1,
+            run[len] = s;
+            len += 1;
+        }
+        if len == 0 {
+            let i = order[pos].1;
+            let d = dtw.distance_early_abandon_with(query, train[i].as_ref(), kth, scratch)?;
+            scan.record(i, d);
+            pos += 1;
+            continue;
+        }
+        let lanes = dtw.distance_early_abandon_lanes(query, &run[..len], kth, scratch)?;
+        for (&(_, i), d) in order[pos..pos + len].iter().zip(lanes) {
+            scan.record(i, d);
+        }
+        pos += len;
+    }
+    Ok((rank_and_vote(&scan.raw, false, k, label_of), scan.stats))
+}
+
+/// The state of one [`banded_dtw_knn`] scan.
+struct Scan {
+    /// Each instance's distance, `+inf` until it is computed in full.
+    raw: Vec<f64>,
+    stats: KnnStats,
+    /// The `k` smallest distances so far, as a max-heap of bit patterns:
+    /// distances are never negative or -0.0, and non-negative f64s order
+    /// like their bits.
+    best: BinaryHeap<u64>,
+    k: usize,
+}
+
+impl Scan {
+    /// The running k-th best distance, `+inf` before `k` are known.
+    fn kth(&self) -> f64 {
+        match self.best.peek() {
+            Some(&bits) if self.best.len() == self.k => f64::from_bits(bits),
+            _ => f64::INFINITY,
         }
     }
-    Ok((rank_and_vote(&raw, false, k, label_of), stats))
+
+    /// Records instance `i`'s DTW: its distance, or `None` if abandoned.
+    fn record(&mut self, i: usize, d: Option<f64>) {
+        let Some(d) = d else {
+            self.stats.abandoned_early += 1;
+            return;
+        };
+        self.raw[i] = d;
+        self.stats.full_computations += 1;
+        self.best.push(d.to_bits());
+        if self.best.len() > self.k {
+            self.best.pop();
+        }
+    }
 }
 
 /// A k-NN classifier parameterised by any [`Distance`].

@@ -12,10 +12,18 @@
 //!   DP rows,
 //! * a reversed copy of the second series, so wavefront kernels read both
 //!   series forward along an anti-diagonal,
+//! * two lane rows and a transposed candidate block for the lane-batched
+//!   early-abandoning DTW kernel ([`crate::Dtw::distance_early_abandon_lanes`]),
 //! * candidate-envelope and deque buffers for the O(n) Lemire envelope pass
 //!   of the UCR pruning cascade. The query's envelope is not here: a
 //!   [`Cascade`](crate::lower_bounds::Cascade) owns it, built once per
 //!   query.
+
+use crate::dtw::LANES;
+
+/// One DP cell, or one candidate element, of every lane of the
+/// lane-batched kernel.
+type LaneCell = [f64; LANES];
 
 /// Reusable DP buffer set shared by the kernels and the pruning cascade.
 ///
@@ -40,6 +48,13 @@ pub struct DpScratch {
     pub(crate) diag: Vec<f64>,
     /// Reversed copy of the second series for wavefront kernels.
     pub(crate) rev: Vec<f64>,
+    /// DP rows of the lane-batched kernel: cell `j` holds every lane's
+    /// `D[i][j]`.
+    pub(crate) lane_prev: Vec<LaneCell>,
+    pub(crate) lane_curr: Vec<LaneCell>,
+    /// The lane-batched kernel's candidates, transposed: slot `j` holds
+    /// element `j` of every candidate.
+    pub(crate) lane_q: Vec<LaneCell>,
     /// Candidate envelope buffers (recomputed per candidate, reused).
     pub(crate) ce_upper: Vec<f64>,
     pub(crate) ce_lower: Vec<f64>,
@@ -90,6 +105,28 @@ impl DpScratch {
         self.rev.clear();
         self.rev.extend(q.iter().rev());
         ([&mut self.prev, &mut self.curr, &mut self.diag], &self.rev)
+    }
+
+    /// Two lane rows of `len` cells, every lane set to `fill`, and the
+    /// `candidates` (one to [`LANES`], all of one length) transposed: slot
+    /// `j` holds element `j` of each, and lanes past `candidates.len()`
+    /// repeat the last candidate.
+    pub(crate) fn lanes(
+        &mut self,
+        len: usize,
+        fill: f64,
+        candidates: &[&[f64]],
+    ) -> (&mut Vec<LaneCell>, &mut Vec<LaneCell>, &[LaneCell]) {
+        for buf in [&mut self.lane_prev, &mut self.lane_curr] {
+            buf.clear();
+            buf.resize(len, [fill; LANES]);
+        }
+        let last = candidates.len() - 1;
+        self.lane_q.clear();
+        self.lane_q.extend(
+            (0..candidates[0].len()).map(|j| std::array::from_fn(|l| candidates[l.min(last)][j])),
+        );
+        (&mut self.lane_prev, &mut self.lane_curr, &self.lane_q)
     }
 
     /// Current row capacity (elements held without reallocating).
@@ -146,5 +183,27 @@ mod tests {
         assert!(d0.iter().all(|v| v.is_infinite()));
         assert!(d1.iter().all(|v| v.is_infinite()));
         assert!(d2.iter().all(|v| v.is_infinite()));
+    }
+
+    #[test]
+    fn lanes_transpose_and_pad_with_the_last_candidate() {
+        let mut s = DpScratch::new();
+        {
+            let (prev, _, _) = s.lanes(3, f64::INFINITY, &[&[1.0, 2.0], &[3.0, 4.0]]);
+            prev[0] = [0.0; LANES];
+        }
+        let (prev, curr, qs) = s.lanes(3, f64::INFINITY, &[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert!(prev
+            .iter()
+            .chain(curr.iter())
+            .flatten()
+            .all(|v| v.is_infinite()));
+        let mut want = [[3.0, 4.0]; LANES];
+        want[0] = [1.0, 2.0];
+        for (j, slot) in qs.iter().enumerate() {
+            for (l, &v) in slot.iter().enumerate() {
+                assert_eq!(v, want[l][j], "slot {j} lane {l}");
+            }
+        }
     }
 }
