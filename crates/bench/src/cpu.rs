@@ -26,11 +26,6 @@ pub fn measure_cpu_time(kind: DistanceKind, p: &[f64], q: &[f64], reps: usize) -
     samples[samples.len() / 2]
 }
 
-/// CPU time per element, s (total divided by the sequence length).
-pub fn cpu_time_per_element(kind: DistanceKind, p: &[f64], q: &[f64], reps: usize) -> f64 {
-    measure_cpu_time(kind, p, q, reps) / p.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -548,9 +548,8 @@ impl Dtw {
     /// it, and the computation stops, returning `None`.
     ///
     /// This is the row-wise abandoning of the UCR suite (the paper's
-    /// reference \[24\]); [`crate::lower_bounds::cascading_dtw`] uses the
-    /// cheaper LB_Kim/LB_Keogh first, and a search loop would call this as
-    /// the final stage.
+    /// reference \[24\]); [`crate::lower_bounds::Cascade`] tries the
+    /// cheaper LB_Kim/LB_Keogh first and calls this as its final stage.
     ///
     /// # Errors
     ///

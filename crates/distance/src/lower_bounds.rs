@@ -9,12 +9,15 @@
 //! Both are *admissible*: they never exceed the true banded DTW distance, so
 //! a search can safely prune any candidate whose bound already exceeds the
 //! best-so-far. Envelopes are computed in O(n) with Lemire's monotonic-deque
-//! streaming min/max (independent of the band radius). [`Cascade`] is the
-//! UCR pipeline for one query: built once per (query, radius), it owns the
-//! query's envelope, so a scan evaluating thousands of candidates against
-//! one query envelopes it exactly once. The `kernels` and `lower_bounds`
-//! benches measure the pruning power that the paper's CPU baseline relies
-//! on.
+//! streaming min/max (independent of the band radius).
+//!
+//! [`Cascade`] is the UCR pipeline for one query and the one decision body
+//! of every scan (search, motif, streaming, the pruned backend). Built once
+//! per (query, radius), it owns the query's envelope, so a scan evaluating
+//! thousands of candidates envelopes the query exactly once. Every LB_Keogh
+//! sum runs through one loop that can stop once the partial sum crosses a
+//! pruning threshold. The `kernels` bench measures the pruning power that
+//! the paper's CPU baseline relies on.
 
 use std::collections::VecDeque;
 
@@ -124,13 +127,35 @@ pub fn envelope(q: &[f64], r: usize) -> Result<(Vec<f64>, Vec<f64>), DistanceErr
 /// The LB_Keogh sum for `p` against a precomputed envelope: the L1 cost of
 /// the parts of `p` that fall outside `[lower[i], upper[i]]`.
 ///
-/// This is the inner loop shared by [`lb_keogh`] and [`Cascade`], split
-/// out so callers that already hold an envelope skip the envelope pass.
+/// Split out of [`lb_keogh`] so callers that already hold an envelope skip
+/// the envelope pass. Bitwise the in-order `Iterator::sum` of the terms.
 pub fn lb_keogh_envelope(p: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
-    p.iter()
-        .zip(upper.iter().zip(lower))
-        .map(|(&x, (&u, &l))| keogh_term(x, u, l))
-        .sum()
+    keogh_sum(p, upper, lower, f64::INFINITY)
+}
+
+/// Terms per stop check in [`keogh_sum`].
+const KEOGH_BLOCK: usize = 16;
+
+/// The crate's one LB_Keogh loop: sums the terms in order from `-0.0`, as
+/// `Iterator::sum` does, and returns the first partial sum above `stop`,
+/// checked every [`KEOGH_BLOCK`] terms. Terms are non-negative and adding
+/// one never lowers an fp sum, so a partial sum above `stop` is admissible
+/// and `keogh_sum(..) > stop` is exactly the full sum's decision.
+fn keogh_sum(p: &[f64], upper: &[f64], lower: &[f64], stop: f64) -> f64 {
+    let mut sum = -0.0;
+    for ((p, u), l) in p
+        .chunks(KEOGH_BLOCK)
+        .zip(upper.chunks(KEOGH_BLOCK))
+        .zip(lower.chunks(KEOGH_BLOCK))
+    {
+        for ((&x, &u), &l) in p.iter().zip(u).zip(l) {
+            sum += keogh_term(x, u, l);
+        }
+        if sum > stop {
+            break;
+        }
+    }
+    sum
 }
 
 /// One LB_Keogh term: the L1 distance from `x` to `[l, u]`. Never negative.
@@ -300,28 +325,10 @@ impl PruneDecision {
     }
 }
 
-/// Cascading DTW evaluation: LB_Kim, then LB_Keogh in both directions, then
-/// early-abandoning banded DTW — the UCR-suite pipeline the paper's related
-/// work (and its CPU baseline) uses for subsequence search.
-///
-/// One-shot form of [`Cascade::decide`]; scans over many candidates build
-/// the [`Cascade`] once instead.
-///
-/// # Errors
-///
-/// Propagates errors from the bounds or the DTW computation.
-pub fn cascading_dtw(
-    p: &[f64],
-    q: &[f64],
-    r: usize,
-    best_so_far: f64,
-) -> Result<PruneDecision, DistanceError> {
-    Cascade::new(p, r).decide(q, best_so_far, &mut DpScratch::new())
-}
-
-/// The UCR cascade for one query at one band radius: built once, it owns
-/// the query's Lemire envelope, and [`decide`](Self::decide) runs every
-/// candidate through
+/// The UCR cascade for one query at one band radius — the pipeline the
+/// paper's related work (and its CPU baseline) uses for subsequence
+/// search. Built once, it owns the query's Lemire envelope, and
+/// [`decide`](Self::decide) runs every candidate through
 ///
 /// 1. LB_Kim — O(1);
 /// 2. LB_Keogh of the candidate against the query envelope — O(n), no
@@ -333,6 +340,12 @@ pub fn cascading_dtw(
 /// Layers 2 and 3 need equal lengths and are skipped otherwise. Every
 /// bound is admissible, so a candidate whose DTW is at most the threshold
 /// always reaches layer 4 and comes back [`PruneDecision::Computed`].
+///
+/// [`decide`](Self::decide) sums each LB_Keogh in full, so a Keogh prune
+/// carries the whole bound (the streaming matcher reports it). Scans that
+/// read nothing but the decision stop each sum once it crosses the
+/// threshold instead; they get the same decision for every candidate, and
+/// a Keogh prune then carries the partial sum that crossed.
 ///
 /// ```
 /// use mda_distance::lower_bounds::{Cascade, PruneDecision};
@@ -351,6 +364,7 @@ pub fn cascading_dtw(
 pub struct Cascade {
     query: Vec<f64>,
     radius: usize,
+    dtw: Dtw,
     upper: Vec<f64>,
     lower: Vec<f64>,
 }
@@ -365,6 +379,7 @@ impl Cascade {
         Cascade {
             query: query.to_vec(),
             radius,
+            dtw: Dtw::new().with_band(Band::SakoeChiba(radius)),
             upper,
             lower,
         }
@@ -388,7 +403,22 @@ impl Cascade {
         best_so_far: f64,
         scratch: &mut DpScratch,
     ) -> Result<PruneDecision, DistanceError> {
-        self.run(candidate, best_so_far, None, scratch)
+        self.run(candidate, best_so_far, f64::INFINITY, None, scratch)
+    }
+
+    /// [`decide`](Self::decide) for scans that read only the decision:
+    /// each LB_Keogh sum stops once it crosses `threshold`, so a Keogh
+    /// prune carries that partial sum (still an admissible bound). Every
+    /// decision's variant, and a computed distance's bits, are
+    /// [`decide`](Self::decide)'s.
+    #[inline]
+    pub(crate) fn screen(
+        &self,
+        candidate: &[f64],
+        threshold: f64,
+        scratch: &mut DpScratch,
+    ) -> Result<PruneDecision, DistanceError> {
+        self.run(candidate, threshold, threshold, None, scratch)
     }
 
     /// [`decide`](Self::decide) for callers that already hold the
@@ -416,15 +446,22 @@ impl Cascade {
                 right: candidate.len(),
             });
         }
-        self.run(candidate, best_so_far, Some((upper, lower)), scratch)
+        let envelope = Some((upper, lower));
+        self.run(candidate, best_so_far, f64::INFINITY, envelope, scratch)
     }
 
-    /// The one decision body; `supplied` is the candidate envelope, or
-    /// `None` to compute it into `scratch`.
+    /// The one decision body. Each LB_Keogh sum stops once it crosses
+    /// `stop` (see [`keogh_sum`]); `supplied` is the candidate envelope, or
+    /// `None` to compute it into `scratch`. Always inlined: the scans call
+    /// `screen` once per window, and as an out-of-line call this body cost
+    /// servebench's search mix about a quarter more CPU per query (median,
+    /// on a 2-core x86-64 host).
+    #[inline(always)]
     fn run(
         &self,
         candidate: &[f64],
         best_so_far: f64,
+        stop: f64,
         supplied: Option<(&[f64], &[f64])>,
         scratch: &mut DpScratch,
     ) -> Result<PruneDecision, DistanceError> {
@@ -433,12 +470,12 @@ impl Cascade {
             return Ok(PruneDecision::PrunedByKim(kim));
         }
         if self.query.len() == candidate.len() {
-            let keogh_q = lb_keogh_envelope(candidate, &self.upper, &self.lower);
+            let keogh_q = keogh_sum(candidate, &self.upper, &self.lower, stop);
             if keogh_q > best_so_far {
                 return Ok(PruneDecision::PrunedByKeogh(keogh_q));
             }
             let keogh_c = match supplied {
-                Some((upper, lower)) => lb_keogh_envelope(&self.query, upper, lower),
+                Some((upper, lower)) => keogh_sum(&self.query, upper, lower, stop),
                 None => {
                     envelope_into(
                         candidate,
@@ -447,15 +484,15 @@ impl Cascade {
                         &mut scratch.ce_lower,
                         &mut scratch.deque,
                     );
-                    lb_keogh_envelope(&self.query, &scratch.ce_upper, &scratch.ce_lower)
+                    keogh_sum(&self.query, &scratch.ce_upper, &scratch.ce_lower, stop)
                 }
             };
             if keogh_c > best_so_far {
                 return Ok(PruneDecision::PrunedByKeogh(keogh_c));
             }
         }
-        match Dtw::new()
-            .with_band(Band::SakoeChiba(self.radius))
+        match self
+            .dtw
             .distance_early_abandon_with(&self.query, candidate, best_so_far, scratch)?
         {
             Some(d) => Ok(PruneDecision::Computed(d)),
@@ -621,8 +658,12 @@ mod tests {
         }
         // The cascade envelopes both sides at the same radius.
         let p: Vec<f64> = q.iter().map(|x| x * 0.5 + 0.1).collect();
-        let huge = cascading_dtw(&p, &q, usize::MAX, f64::INFINITY).unwrap();
-        let full = cascading_dtw(&p, &q, q.len(), f64::INFINITY).unwrap();
+        let huge = Cascade::new(&p, usize::MAX)
+            .decide(&q, f64::INFINITY, &mut DpScratch::new())
+            .unwrap();
+        let full = Cascade::new(&p, q.len())
+            .decide(&q, f64::INFINITY, &mut DpScratch::new())
+            .unwrap();
         assert_eq!(huge, full);
     }
 
@@ -648,7 +689,9 @@ mod tests {
     fn cascade_prunes_obvious_non_matches() {
         let p = [0.0, 0.0, 0.0, 0.0];
         let far = [100.0, 100.0, 100.0, 100.0];
-        let d = cascading_dtw(&p, &far, 1, 1.0).unwrap();
+        let d = Cascade::new(&p, 1)
+            .decide(&far, 1.0, &mut DpScratch::new())
+            .unwrap();
         assert!(d.pruned());
         assert!(matches!(d, PruneDecision::PrunedByKim(_)));
     }
@@ -657,7 +700,9 @@ mod tests {
     fn cascade_computes_close_matches() {
         let p = [0.0, 1.0, 0.0, 1.0];
         let q = [0.1, 0.9, 0.1, 0.9];
-        let d = cascading_dtw(&p, &q, 1, 100.0).unwrap();
+        let d = Cascade::new(&p, 1)
+            .decide(&q, 100.0, &mut DpScratch::new())
+            .unwrap();
         assert!(!d.pruned());
         assert!((d.value() - banded_dtw(&p, &q, 1)).abs() < 1e-12);
     }
@@ -667,7 +712,9 @@ mod tests {
         // First/last match (defeats Kim) but the middle is far away.
         let p = [0.0, 50.0, 50.0, 0.0];
         let q = [0.0, 0.0, 0.0, 0.0];
-        let d = cascading_dtw(&p, &q, 0, 10.0).unwrap();
+        let d = Cascade::new(&p, 0)
+            .decide(&q, 10.0, &mut DpScratch::new())
+            .unwrap();
         assert!(matches!(d, PruneDecision::PrunedByKeogh(_)));
     }
 
@@ -771,24 +818,88 @@ mod tests {
         inputs
     }
 
+    /// The three entries decide alike: a supplied envelope bitwise as a
+    /// computed one, and `screen` with the same variant and computed bits
+    /// as `decide`, its Keogh prunes carrying a partial sum that crosses
+    /// the threshold without passing the full bound.
     #[test]
-    fn supplied_candidate_envelope_decides_like_computed_one() {
-        let mut scratch_a = DpScratch::new();
-        let mut scratch_b = DpScratch::new();
+    fn every_entry_decides_like_decide() {
+        let mut scratch = DpScratch::new();
+        let mut stopped_early = 0;
         for (case, (p, q)) in cascade_inputs().iter().enumerate() {
             for r in [0usize, 1, 3, 6] {
                 let cascade = Cascade::new(p, r);
                 let (cu, cl) = envelope(q, r).unwrap();
                 for best in [0.0, 0.1, 2.0, 25.0, 72.0, f64::INFINITY] {
+                    let at = format!("case={case} r={r} best={best}");
+                    let computed = cascade.decide(q, best, &mut scratch).unwrap();
+                    let want = decision_bits(computed);
                     let supplied = cascade
-                        .decide_with_envelope(q, best, &cu, &cl, &mut scratch_a)
+                        .decide_with_envelope(q, best, &cu, &cl, &mut scratch)
                         .unwrap();
-                    let computed = cascade.decide(q, best, &mut scratch_b).unwrap();
+                    assert_eq!(decision_bits(supplied), want, "{at}");
+                    let screened = cascade.screen(q, best, &mut scratch).unwrap();
+                    match (screened, computed) {
+                        (PruneDecision::PrunedByKeogh(s), PruneDecision::PrunedByKeogh(d)) => {
+                            assert!(best < s && s <= d, "{at}");
+                            stopped_early += usize::from(s < d);
+                        }
+                        _ => assert_eq!(decision_bits(screened), want, "{at}"),
+                    }
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no Keogh sum stopped at a block check");
+    }
+
+    /// The block-checked sum is bitwise the in-order `Iterator::sum` at
+    /// `stop = +∞`, and decides exactly as the full sum does at every
+    /// stop — thresholds equal to the full sum, one ulp either side, and
+    /// every partial sum where a block check fires included.
+    #[test]
+    fn keogh_sum_decides_like_the_full_sum() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        assert_eq!(
+            lb_keogh_envelope(&[], &[], &[]).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        for len in [1, 5, 15, 16, 17, 32, 40, 128] {
+            for scale in [1.0, 1e-3, 1e300] {
+                let q: Vec<f64> = (0..len).map(|_| next() * scale).collect();
+                let p: Vec<f64> = (0..len).map(|_| next() * scale * 3.0).collect();
+                let (upper, lower) = envelope(&q, 2).unwrap();
+                let terms = || (0..len).map(|i| keogh_term(p[i], upper[i], lower[i]));
+                let full: f64 = terms().sum();
+                assert_eq!(
+                    lb_keogh_envelope(&p, &upper, &lower).to_bits(),
+                    full.to_bits(),
+                    "len {len} scale {scale}: stop = +inf is the plain sum"
+                );
+                let mut thresholds = vec![
+                    0.0,
+                    full,
+                    f64::from_bits(full.to_bits().saturating_sub(1)),
+                    f64::from_bits(full.to_bits() + 1),
+                    f64::INFINITY,
+                ];
+                thresholds.extend(terms().scan(-0.0, |sum, t| {
+                    *sum += t;
+                    Some(*sum)
+                }));
+                for t in thresholds {
+                    let partial = keogh_sum(&p, &upper, &lower, t);
                     assert_eq!(
-                        decision_bits(supplied),
-                        decision_bits(computed),
-                        "case={case} r={r} best={best}"
+                        partial > t,
+                        full > t,
+                        "len {len} scale {scale} threshold {t} full {full}"
                     );
+                    assert!(partial <= full, "a partial sum never passes the full one");
                 }
             }
         }
@@ -837,7 +948,9 @@ mod tests {
             keogh_cand_dir > threshold,
             "candidate-envelope layer must prune ({keogh_cand_dir})"
         );
-        let d = cascading_dtw(&p, &q, r, threshold).unwrap();
+        let d = Cascade::new(&p, r)
+            .decide(&q, threshold, &mut DpScratch::new())
+            .unwrap();
         assert!(matches!(d, PruneDecision::PrunedByKeogh(v) if v == keogh_cand_dir));
     }
 }

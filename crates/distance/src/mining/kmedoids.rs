@@ -10,6 +10,9 @@ use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
 use crate::Distance;
 
+/// Cap on the swap iterations of one clustering run.
+const MAX_ITERATIONS: usize = 100;
+
 /// Result of a k-medoids run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMedoidsResult {
@@ -45,7 +48,6 @@ pub struct KMedoidsResult {
 pub struct KMedoids {
     distance: Box<dyn Distance + Send + Sync>,
     k: usize,
-    max_iterations: usize,
     engine: BatchEngine,
 }
 
@@ -54,7 +56,6 @@ impl std::fmt::Debug for KMedoids {
         f.debug_struct("KMedoids")
             .field("kind", &self.distance.kind())
             .field("k", &self.k)
-            .field("max_iterations", &self.max_iterations)
             .field("engine", &self.engine)
             .finish()
     }
@@ -73,16 +74,8 @@ impl KMedoids {
         KMedoids {
             distance,
             k,
-            max_iterations: 100,
             engine: BatchEngine::new(),
         }
-    }
-
-    /// Caps the number of swap iterations.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
     }
 
     /// Replaces the batch engine. Results are identical for every engine
@@ -182,7 +175,7 @@ impl KMedoids {
 
         let (mut assignments, mut cost) = Self::assign(&dist, &medoids);
         let mut iterations = 0;
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             iterations += 1;
             let mut improved = false;
             for c in 0..self.k {

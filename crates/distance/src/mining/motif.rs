@@ -150,11 +150,12 @@ impl MotifDiscovery {
     /// promising pair (first minimum in pair order); its full banded DTW
     /// is the starting pruning threshold. Then one fused scan per engine
     /// chunk of first windows builds one [`Cascade`] per first window, runs
-    /// every later non-overlapping window through it and folds the
-    /// decisions into a `(MotifStats, Motif)` partial, tightening the
-    /// threshold as it goes. The partials reduce in chunk order, ties to
-    /// the lowest pair, exactly like the brute-force scan. No pair list is
-    /// built.
+    /// every later non-overlapping window through it (each LB_Keogh sum
+    /// stopping once it crosses the threshold, since only the decision is
+    /// read) and folds the decisions into a `(MotifStats, Motif)` partial,
+    /// tightening the threshold as it goes. The partials reduce in chunk
+    /// order, ties to the lowest pair, exactly like the brute-force scan.
+    /// No pair list is built.
     ///
     /// Chunk boundaries depend only on the engine's chunk size, so motif
     /// and statistics are identical for every thread count; the motif is
@@ -207,7 +208,7 @@ impl MotifDiscovery {
                             // one computed pair, so the motif is real.
                             best_ub
                         } else {
-                            match cascade.decide(win(j), threshold, scratch)? {
+                            match cascade.screen(win(j), threshold, scratch)? {
                                 PruneDecision::Computed(d) => d,
                                 _ => {
                                     stats.pruned += 1;

@@ -2,15 +2,17 @@
 //! "the computation of distance function takes up to more than 99% of the
 //! runtime" (Section 1, citing Rakthanmanon et al.).
 //!
-//! Slides a query over a long series and returns the best-matching window,
-//! using the cascading lower bounds of [`crate::lower_bounds`] to prune.
+//! Slides a query over a long series and returns the best-matching window.
+//! Every window that passes the stage-0 pre-filter is decided by the
+//! query's [`Cascade`], the one decision body of the crate's scans; this
+//! module adds only the scout, the pre-filter and the chunked reduction.
 
 use std::sync::Arc;
 
 use crate::batch::BatchEngine;
 use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
-use crate::lower_bounds::{envelope, envelope_into, keogh_term, lb_kim};
+use crate::lower_bounds::{lb_kim, Cascade, PruneDecision};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
@@ -59,32 +61,11 @@ pub struct Match {
     pub distance: f64,
 }
 
-/// Terms per threshold check in [`lb_keogh_exceeds`].
-const KEOGH_BLOCK: usize = 16;
-
-/// `true` exactly when `lb_keogh_envelope(p, upper, lower) > threshold`.
-///
-/// Sums in the same sequential order but checks the partial sum every
-/// [`KEOGH_BLOCK`] terms and stops once it exceeds `threshold`. Every term
-/// is non-negative, and adding a non-negative term never lowers an fp sum,
-/// so a partial sum above the threshold implies the full sum is too: the
-/// decision is bitwise the full sum's.
-fn lb_keogh_exceeds(p: &[f64], upper: &[f64], lower: &[f64], threshold: f64) -> bool {
-    let mut sum = 0.0;
-    for ((p, u), l) in p
-        .chunks(KEOGH_BLOCK)
-        .zip(upper.chunks(KEOGH_BLOCK))
-        .zip(lower.chunks(KEOGH_BLOCK))
-    {
-        for ((&x, &u), &l) in p.iter().zip(u).zip(l) {
-            sum += keogh_term(x, u, l);
-        }
-        if sum > threshold {
-            return true;
-        }
-    }
-    false
-}
+/// The placeholder every scan starts from.
+const NO_MATCH: Match = Match {
+    offset: 0,
+    distance: f64::INFINITY,
+};
 
 /// Sliding-window DTW subsequence search with cascading lower bounds.
 ///
@@ -220,11 +201,11 @@ impl SubsequenceSearch {
     /// An O(1)-per-window LB_Kim **scout pass** picks the most promising
     /// window (ties to lowest offset); its full banded DTW is the starting
     /// pruning threshold. Then one fused scan per engine chunk folds every
-    /// window's cascade decision — pre-filter, LB_Kim, LB_Keogh against the
-    /// query envelope (computed once per search), reversed LB_Keogh,
-    /// early-abandoning DTW — straight into a per-chunk partial, tightening
-    /// the threshold as it goes. The partials reduce in chunk order, ties to
-    /// the lowest offset, exactly like the serial scan.
+    /// window's decision — the pre-filter, then the query's [`Cascade`]
+    /// (built once per search) with each LB_Keogh sum stopping once it
+    /// crosses the threshold — straight into a per-chunk partial,
+    /// tightening the threshold as it goes. The partials reduce in chunk
+    /// order, ties to the lowest offset, exactly like the serial scan.
     ///
     /// Chunk boundaries depend only on the engine's chunk size, so match and
     /// statistics are identical for every thread count. A single chunk
@@ -268,13 +249,7 @@ impl SubsequenceSearch {
         let predicate = self.prefilter.as_ref().and_then(|filter| {
             filter.program(DistanceKind::Dtw, &query, self.band_radius, best_ub)
         });
-        // LB_Keogh needs equal lengths; the envelope is built once here, not
-        // revalidated per window.
-        let query_envelope = if query.len() == self.window {
-            Some(envelope(&query, self.band_radius)?)
-        } else {
-            None
-        };
+        let cascade = Cascade::new(&query, self.band_radius);
 
         // Fused scan: every chunk starts from the scout threshold and
         // tightens it window by window. The true best window always
@@ -287,10 +262,7 @@ impl SubsequenceSearch {
                     windows: range.len(),
                     ..SearchStats::default()
                 };
-                let mut best = Match {
-                    offset: 0,
-                    distance: f64::INFINITY,
-                };
+                let mut best = NO_MATCH;
                 let mut threshold = best_ub;
                 for off in range {
                     let window = self.window_into(haystack, off, buf);
@@ -301,40 +273,21 @@ impl SubsequenceSearch {
                         // window, so the match is a real, fully evaluated
                         // window.
                         best_ub
+                    } else if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
+                        stats.pruned_by_prefilter += 1;
+                        continue;
                     } else {
-                        if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
-                            stats.pruned_by_prefilter += 1;
-                            continue;
-                        }
-                        if lb_kim(&query, window)? > threshold {
-                            stats.pruned_by_kim += 1;
-                            continue;
-                        }
-                        if let Some((upper, lower)) = &query_envelope {
-                            if lb_keogh_exceeds(window, upper, lower, threshold) {
+                        match cascade.screen(window, threshold, scratch)? {
+                            PruneDecision::Computed(d) => d,
+                            PruneDecision::PrunedByKim(_) => {
+                                stats.pruned_by_kim += 1;
+                                continue;
+                            }
+                            PruneDecision::PrunedByKeogh(_) => {
                                 stats.pruned_by_keogh += 1;
                                 continue;
                             }
-                            envelope_into(
-                                window,
-                                self.band_radius,
-                                &mut scratch.ce_upper,
-                                &mut scratch.ce_lower,
-                                &mut scratch.deque,
-                            );
-                            if lb_keogh_exceeds(
-                                &query,
-                                &scratch.ce_upper,
-                                &scratch.ce_lower,
-                                threshold,
-                            ) {
-                                stats.pruned_by_keogh += 1;
-                                continue;
-                            }
-                        }
-                        match dtw.distance_early_abandon_with(&query, window, threshold, scratch)? {
-                            Some(d) => d,
-                            None => {
+                            PruneDecision::AbandonedEarly => {
                                 stats.abandoned_early += 1;
                                 continue;
                             }
@@ -358,10 +311,7 @@ impl SubsequenceSearch {
         // Ordered reduction. The scout window is always computed, so `best`
         // is never the infinite placeholder on return.
         let mut stats = SearchStats::default();
-        let mut best = Match {
-            offset: 0,
-            distance: f64::INFINITY,
-        };
+        let mut best = NO_MATCH;
         for (part, m) in partials {
             stats.windows += part.windows;
             stats.pruned_by_prefilter += part.pruned_by_prefilter;
@@ -385,22 +335,12 @@ impl SubsequenceSearch {
     ///
     /// Same as [`SubsequenceSearch::run`].
     pub fn run_brute_force(&self, query: &[f64], haystack: &[f64]) -> Result<Match, DistanceError> {
-        let query_owned = self.prepared_query(query, haystack)?;
+        let query = self.prepared_query(query, haystack)?;
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
-        let mut best = Match {
-            offset: 0,
-            distance: f64::INFINITY,
-        };
+        let mut buf = Vec::new();
+        let mut best = NO_MATCH;
         for offset in 0..=(haystack.len() - self.window) {
-            let window = &haystack[offset..offset + self.window];
-            let window_owned: Vec<f64>;
-            let window_ref: &[f64] = if self.z_normalize {
-                window_owned = z_normalized(window);
-                &window_owned
-            } else {
-                window
-            };
-            let d = dtw.distance(&query_owned, window_ref)?;
+            let d = dtw.distance(&query, self.window_into(haystack, offset, &mut buf))?;
             if d < best.distance {
                 best = Match {
                     offset,
@@ -556,51 +496,6 @@ mod tests {
                 + stats.full_computations
         );
         assert_eq!(stats.pruned_by_prefilter, 0, "no filter installed");
-    }
-
-    /// The block-checked LB_Keogh decides exactly as the full sum does —
-    /// including at thresholds equal to the full sum, just below it, and at
-    /// every partial sum where a block check fires.
-    #[test]
-    fn block_checked_keogh_decides_like_the_full_sum() {
-        use crate::lower_bounds::{envelope, lb_keogh_envelope};
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for len in [1, 5, 15, 16, 17, 32, 40, 128] {
-            for scale in [1.0, 1e-3, 1e300] {
-                let q: Vec<f64> = (0..len).map(|_| next() * scale).collect();
-                let p: Vec<f64> = (0..len).map(|_| next() * scale * 3.0).collect();
-                let (upper, lower) = envelope(&q, 2).unwrap();
-                let full = lb_keogh_envelope(&p, &upper, &lower);
-                let mut partials = Vec::new();
-                let mut sum = 0.0;
-                for (i, &x) in p.iter().enumerate() {
-                    sum += keogh_term(x, upper[i], lower[i]);
-                    partials.push(sum);
-                }
-                assert_eq!(sum.to_bits(), full.to_bits(), "same summation order");
-                let mut thresholds = vec![
-                    0.0,
-                    full,
-                    f64::from_bits(full.to_bits().saturating_sub(1)),
-                    f64::from_bits(full.to_bits() + 1),
-                    f64::INFINITY,
-                ];
-                thresholds.extend(partials);
-                for t in thresholds {
-                    assert_eq!(
-                        lb_keogh_exceeds(&p, &upper, &lower, t),
-                        full > t,
-                        "len {len} scale {scale} threshold {t} full {full}"
-                    );
-                }
-            }
-        }
     }
 
     /// The identity filter must leave the match AND the statistics exactly

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use mda_distance::dtw::Band;
-use mda_distance::lower_bounds::{cascading_dtw, envelope, lb_keogh, lb_kim, PruneDecision};
+use mda_distance::lower_bounds::{envelope, lb_keogh, lb_kim, Cascade, PruneDecision};
 use mda_distance::{DpScratch, Dtw, Weights};
 
 fn full_dtw(p: &[f64], q: &[f64]) -> f64 {
@@ -83,7 +83,10 @@ proptest! {
     ) {
         let (p, q) = pq;
         let d = banded_dtw(&p, &q, r);
-        match cascading_dtw(&p, &q, r, best).unwrap() {
+        match Cascade::new(&p, r)
+            .decide(&q, best, &mut DpScratch::new())
+            .unwrap()
+        {
             // A computed value must be the exact banded DTW distance.
             PruneDecision::Computed(v) => prop_assert_eq!(v.to_bits(), d.to_bits()),
             // A prune must be justified: the bound (admissible, so <= d)

@@ -75,19 +75,6 @@ impl From<ProtocolError> for ClientError {
     }
 }
 
-impl ClientError {
-    /// `true` when the server shed this request under load.
-    pub fn is_overloaded(&self) -> bool {
-        matches!(
-            self,
-            ClientError::Server {
-                code: ErrorCode::Overloaded,
-                ..
-            }
-        )
-    }
-}
-
 /// Builder-style per-query options for the `query_*` methods.
 ///
 /// With the default options a request carries no explicit accuracy: it is

@@ -53,7 +53,10 @@ use crate::protocol::{
 };
 use crate::queue::{Coalescer, Job, ReplySink};
 use crate::streams::StreamRegistry;
-use mda_streaming::{StreamConfig, StreamError};
+use mda_streaming::StreamConfig;
+
+/// An inline request's failure: the wire error code and its message.
+type Refusal = (ErrorCode, String);
 
 // ---------------------------------------------------------------------------
 // Raw epoll / eventfd FFI (Linux). No libc crate: these are the same thin
@@ -652,18 +655,11 @@ impl EventLoop {
             if len > self.config.max_frame_bytes {
                 // The payload was never read, so the stream is beyond
                 // resync: report and close (same contract as read_frame).
-                self.metrics.replies_error.inc();
-                let reply = Reply::new(
-                    0,
-                    ResponseBody::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!(
-                            "frame of {len} bytes exceeds the {}-byte cap",
-                            self.config.max_frame_bytes
-                        ),
-                    },
+                let message = format!(
+                    "frame of {len} bytes exceeds the {}-byte cap",
+                    self.config.max_frame_bytes
                 );
-                conn.push_reply(&reply);
+                self.reply_inline(conn, 0, Err((ErrorCode::BadRequest, message)));
                 conn.read_closed = true;
                 conn.kill_after_flush = true;
                 break;
@@ -681,6 +677,23 @@ impl EventLoop {
         }
     }
 
+    /// Answers one request inline: counts the reply as ok or error and
+    /// queues it on the connection. An `Err((code, message))` becomes the
+    /// typed [`ResponseBody::Error`].
+    fn reply_inline(&self, conn: &mut Conn, id: u64, result: Result<ResponseBody, Refusal>) {
+        let body = match result {
+            Ok(body) => {
+                self.metrics.replies_ok.inc();
+                body
+            }
+            Err((code, message)) => {
+                self.metrics.replies_error.inc();
+                ResponseBody::Error { code, message }
+            }
+        };
+        conn.push_reply(&Reply::new(id, body));
+    }
+
     /// Handles one decoded frame: control ops and dataset management are
     /// answered inline; compute ops are decomposed (resolving dataset
     /// references) and submitted to the coalescing queue.
@@ -695,81 +708,51 @@ impl EventLoop {
                     ProtocolError::InvalidParameter(_) => ErrorCode::InvalidParameter,
                     _ => ErrorCode::BadRequest,
                 };
-                self.metrics.replies_error.inc();
-                conn.push_reply(&Reply::new(
-                    0,
-                    ResponseBody::Error {
-                        code,
-                        message: err.to_string(),
-                    },
-                ));
+                self.reply_inline(conn, 0, Err((code, err.to_string())));
                 return;
             }
         };
         self.metrics.count_request(req.op());
         match req {
-            Request::Ping => {
-                self.metrics.replies_ok.inc();
-                conn.push_reply(&Reply::new(id, ResponseBody::Pong));
-            }
+            Request::Ping => self.reply_inline(conn, id, Ok(ResponseBody::Pong)),
             Request::Metrics => {
+                // Counted before rendering, so the scrape includes itself.
                 self.metrics.replies_ok.inc();
-                conn.push_reply(&Reply::new(
-                    id,
-                    ResponseBody::MetricsText(self.metrics.render_text()),
-                ));
+                let text = ResponseBody::MetricsText(self.metrics.render_text());
+                conn.push_reply(&Reply::new(id, text));
             }
             Request::UploadDataset { name, entries } => {
                 let labels: Vec<usize> = entries.iter().map(|e| e.label).collect();
                 let series: Vec<Vec<f64>> = entries.into_iter().map(|e| e.series).collect();
-                let body = match self.store.upload(&name, labels, series) {
+                let result = match self.store.upload(&name, labels, series) {
                     Ok(out) => {
                         self.metrics.dataset_uploads.inc();
-                        self.metrics.replies_ok.inc();
-                        ResponseBody::DatasetUploaded {
+                        Ok(ResponseBody::DatasetUploaded {
                             dataset_id: out.dataset_id,
                             version: out.version,
                             count: out.count,
                             bytes: out.bytes,
-                        }
+                        })
                     }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: e.code,
-                            message: e.message,
-                        }
-                    }
+                    Err(e) => Err((e.code, e.message)),
                 };
                 self.sync_dataset_gauges();
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             Request::ListDatasets => {
-                self.metrics.replies_ok.inc();
-                conn.push_reply(&Reply::new(
-                    id,
-                    ResponseBody::Datasets {
-                        items: self.store.list(),
-                    },
-                ));
+                let items = self.store.list();
+                self.reply_inline(conn, id, Ok(ResponseBody::Datasets { items }));
             }
             Request::DropDataset { dataset } => {
-                let body = match self.store.drop_ref(&dataset) {
+                let result = match self.store.drop_ref(&dataset) {
                     Ok(count) => {
                         self.metrics.dataset_drops.inc();
-                        self.metrics.replies_ok.inc();
-                        ResponseBody::Dropped { count }
+                        Ok(ResponseBody::Dropped { count })
                     }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: e.code,
-                            message: e.message,
-                        }
-                    }
+                    Err(e) => Err((e.code, e.message)),
                 };
                 self.sync_dataset_gauges();
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             Request::OpenStream {
                 window,
@@ -777,38 +760,29 @@ impl EventLoop {
                 query,
                 threshold,
             } => {
-                let body = match self.streams.borrow_mut().open(StreamConfig {
+                let config = StreamConfig {
                     window,
                     band,
                     query,
                     threshold,
-                }) {
+                };
+                let result = match self.streams.borrow_mut().open(config) {
                     Ok(out) => {
-                        self.metrics.replies_ok.inc();
                         self.metrics.streams_opened.inc();
-                        ResponseBody::StreamOpened {
+                        Ok(ResponseBody::StreamOpened {
                             stream_id: out.stream_id,
                             shard: out.shard,
                             burn_in: out.burn_in,
-                        }
+                        })
                     }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: match e {
-                                StreamError::InvalidParameter(_) => ErrorCode::InvalidParameter,
-                                _ => ErrorCode::BadRequest,
-                            },
-                            message: e.to_string(),
-                        }
-                    }
+                    Err(e) => Err((e.code(), e.to_string())),
                 };
                 self.sync_stream_gauges();
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             Request::PushPoints { stream_id, points } => {
                 let started = Instant::now();
-                let body = match self.streams.borrow_mut().push(stream_id, &points) {
+                let result = match self.streams.borrow_mut().push(stream_id, &points) {
                     Ok(out) => {
                         self.metrics.stream_points.add(out.accepted);
                         self.metrics.stream_evictions.add(out.evictions);
@@ -820,68 +794,43 @@ impl EventLoop {
                                 Reply::new(sub_id, ResponseBody::StreamEvent(event)),
                             ));
                         }
-                        self.metrics.replies_ok.inc();
-                        ResponseBody::PointsPushed {
+                        Ok(ResponseBody::PointsPushed {
                             stream_id,
                             accepted: out.accepted,
                             epoch: out.epoch,
-                        }
+                        })
                     }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: e.code(),
-                            message: e.to_string(),
-                        }
-                    }
+                    Err(e) => Err((e.code(), e.to_string())),
                 };
                 self.metrics
                     .stream_push
                     .record_us(started.elapsed().as_micros() as u64);
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             Request::Subscribe { stream_id } => {
                 // Events for this subscription carry the subscribe request's
                 // id, so a pipelining client can correlate them.
-                let body = match self.streams.borrow_mut().subscribe(stream_id, token, id) {
-                    Ok(out) => {
-                        self.metrics.replies_ok.inc();
-                        ResponseBody::Subscribed {
-                            stream_id,
-                            epoch: out.epoch,
-                            warm: out.warm,
-                        }
-                    }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: e.code(),
-                            message: e.to_string(),
-                        }
-                    }
+                let result = match self.streams.borrow_mut().subscribe(stream_id, token, id) {
+                    Ok(out) => Ok(ResponseBody::Subscribed {
+                        stream_id,
+                        epoch: out.epoch,
+                        warm: out.warm,
+                    }),
+                    Err(e) => Err((e.code(), e.to_string())),
                 };
                 self.sync_stream_gauges();
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             Request::CloseStream { stream_id } => {
-                let body = match self.streams.borrow_mut().close(stream_id) {
-                    Ok(out) => {
-                        self.metrics.replies_ok.inc();
-                        ResponseBody::StreamClosed {
-                            stream_id,
-                            pushed: out.pushed,
-                        }
-                    }
-                    Err(e) => {
-                        self.metrics.replies_error.inc();
-                        ResponseBody::Error {
-                            code: e.code(),
-                            message: e.to_string(),
-                        }
-                    }
+                let result = match self.streams.borrow_mut().close(stream_id) {
+                    Ok(out) => Ok(ResponseBody::StreamClosed {
+                        stream_id,
+                        pushed: out.pushed,
+                    }),
+                    Err(e) => Err((e.code(), e.to_string())),
                 };
                 self.sync_stream_gauges();
-                conn.push_reply(&Reply::new(id, body));
+                self.reply_inline(conn, id, result);
             }
             req => {
                 let used_dataset = matches!(
@@ -910,14 +859,7 @@ impl EventLoop {
                         if matches!(e.code, ErrorCode::NotFound | ErrorCode::StaleVersion) {
                             self.metrics.dataset_misses.inc();
                         }
-                        self.metrics.replies_error.inc();
-                        conn.push_reply(&Reply::new(
-                            id,
-                            ResponseBody::Error {
-                                code: e.code,
-                                message: e.message,
-                            },
-                        ));
+                        self.reply_inline(conn, id, Err((e.code, e.message)));
                         return;
                     }
                 };
@@ -953,14 +895,7 @@ impl EventLoop {
                 };
                 if let Err(refusal) = self.queue.submit(job) {
                     conn.in_flight -= 1;
-                    self.metrics.replies_error.inc();
-                    conn.push_reply(&Reply::new(
-                        id,
-                        ResponseBody::Error {
-                            code: refusal.code(),
-                            message: refusal.message(),
-                        },
-                    ));
+                    self.reply_inline(conn, id, Err((refusal.code(), refusal.message())));
                 }
             }
         }

@@ -183,11 +183,6 @@ impl Server {
         self.wake.wake();
     }
 
-    /// `true` once [`Server::begin_shutdown`] has been called.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Drains and stops the server: every job queued before the call is
     /// computed and its reply flushed before sockets close.
     pub fn shutdown_and_join(mut self) {

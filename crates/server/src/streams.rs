@@ -118,10 +118,11 @@ impl StreamRegistry {
     ///
     /// # Errors
     ///
-    /// Typed [`StreamError`] from [`StreamPipeline::new`].
-    pub fn open(&mut self, config: StreamConfig) -> Result<OpenOutcome, StreamError> {
+    /// [`RegistryError::Stream`] with the typed [`StreamError`] from
+    /// [`StreamPipeline::new`].
+    pub fn open(&mut self, config: StreamConfig) -> Result<OpenOutcome, RegistryError> {
         let burn_in = config.window as u64;
-        let pipeline = StreamPipeline::new(config)?;
+        let pipeline = StreamPipeline::new(config).map_err(RegistryError::Stream)?;
         let stream_id = self.next_id;
         self.next_id += 1;
         self.streams.insert(

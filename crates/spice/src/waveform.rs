@@ -147,11 +147,6 @@ impl Trace {
         Trace { times, values }
     }
 
-    /// The shared time axis (for building sibling traces without copies).
-    pub fn times_shared(&self) -> Arc<[f64]> {
-        Arc::clone(&self.times)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.times.len()

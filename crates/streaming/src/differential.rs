@@ -13,7 +13,7 @@ use mda_distance::lower_bounds::{envelope, Cascade, PruneDecision};
 use mda_distance::{znorm, DpScratch};
 
 use crate::error::StreamError;
-use crate::ops::{certified_bound, BestMatch, Value};
+use crate::ops::{certified_bound, BestMatch, PruneFrameStats, Value};
 use crate::pipeline::{StreamConfig, StreamPipeline};
 
 /// A streaming-vs-batch disagreement at one push.
@@ -79,14 +79,8 @@ pub struct DifferentialReport {
     pub pushes: u64,
     /// Pushes answered while warming.
     pub warming: u64,
-    /// Warm pushes whose window ran the full banded DTW.
-    pub computed: u64,
-    /// Warm pushes pruned by LB_Kim.
-    pub pruned_kim: u64,
-    /// Warm pushes pruned by LB_Keogh (either direction).
-    pub pruned_keogh: u64,
-    /// Warm pushes whose DP run early-abandoned.
-    pub abandoned: u64,
+    /// The batch cascade's decisions over the warm pushes.
+    pub cascade: PruneFrameStats,
 }
 
 fn bits_eq(a: f64, b: f64) -> bool {
@@ -306,12 +300,7 @@ pub fn check_series(
             ));
         }
 
-        match decision_ref {
-            PruneDecision::Computed(_) => report.computed += 1,
-            PruneDecision::PrunedByKim(_) => report.pruned_kim += 1,
-            PruneDecision::PrunedByKeogh(_) => report.pruned_keogh += 1,
-            PruneDecision::AbandonedEarly => report.abandoned += 1,
-        }
+        report.cascade.record(decision_ref);
     }
     Ok(report)
 }
@@ -338,15 +327,8 @@ mod tests {
         let report = check_series(&config, &points).unwrap();
         assert_eq!(report.pushes, 200);
         assert_eq!(report.warming, 15);
-        assert!(report.computed >= 1, "{report:?}");
-        assert_eq!(
-            report.warming
-                + report.computed
-                + report.pruned_kim
-                + report.pruned_keogh
-                + report.abandoned,
-            report.pushes
-        );
+        assert!(report.cascade.computed >= 1, "{report:?}");
+        assert_eq!(report.warming + report.cascade.total(), report.pushes);
     }
 
     #[test]
