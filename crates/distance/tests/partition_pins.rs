@@ -102,3 +102,61 @@ fn motif_partitions_are_pinned() {
         assert_eq!(((m.first, m.second), counts), want);
     }
 }
+
+#[test]
+fn odd_shape_search_partitions_are_pinned() {
+    let haystack = walk(0x9e37_79b9_7f4a_7c15, 8192, 4.0);
+    // A 90-point query against 100-point windows (the cascade skips both
+    // LB_Keogh layers), and a close query over a haystack of 2w − 3
+    // points, where the first and last elements of the windows leave a
+    // middle stretch that no window starts or ends in. Each pins (offset,
+    // windows, [prefilter, kim, keogh], [abandoned, full]) of a plain and a
+    // tuned-aCAM filtered search, each at the default chunk and at one
+    // chunk.
+    let noise = walk(0x2545_f491_4f6c_dd1d, 128, 0.0);
+    let noisy = |at: usize, len: usize, amplitude: f64| -> Vec<f64> {
+        haystack[at..at + len]
+            .iter()
+            .zip(&noise)
+            .map(|(x, n)| x + amplitude * (n - noise[0]))
+            .collect()
+    };
+    let short = &haystack[2990..2990 + 2 * 128 - 3];
+    let cases = [
+        (100, 5, noisy(6100, 90, 0.05), &haystack[..]),
+        (128, 8, noisy(3050, 128, 0.002), short),
+    ];
+    let pins = [
+        [
+            (6096, 8093, [0, 6091, 0], [1997, 5]),
+            (6096, 8093, [0, 6696, 0], [1392, 5]),
+            (6096, 8093, [0, 6091, 0], [1997, 5]),
+            (6096, 8093, [0, 6696, 0], [1392, 5]),
+        ],
+        [
+            (60, 126, [0, 122, 2], [1, 1]),
+            (60, 126, [0, 122, 2], [1, 1]),
+            (60, 126, [117, 7, 0], [1, 1]),
+            (60, 126, [117, 7, 0], [1, 1]),
+        ],
+    ];
+    for ((window, radius, query, haystack), want) in cases.into_iter().zip(pins) {
+        let plain = SubsequenceSearch::new(window, radius);
+        let configs = [
+            plain.clone(),
+            plain.with_prefilter(Arc::new(AcamPrefilter::tuned())),
+        ];
+        let mut got = Vec::new();
+        for search in configs {
+            for chunk in [DEFAULT_CHUNK_SIZE, usize::MAX] {
+                let engine = BatchEngine::serial().with_chunk_size(chunk);
+                let search = search.clone().with_engine(engine);
+                let (m, s) = search.run(&query, haystack).unwrap();
+                let pruned = [s.pruned_by_prefilter, s.pruned_by_kim, s.pruned_by_keogh];
+                let dtw = [s.abandoned_early, s.full_computations];
+                got.push((m.offset, s.windows, pruned, dtw));
+            }
+        }
+        assert_eq!(got, want, "window {window}, radius {radius}");
+    }
+}
