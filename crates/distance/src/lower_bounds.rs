@@ -38,13 +38,20 @@ pub fn lb_kim(p: &[f64], q: &[f64]) -> Result<f64, DistanceError> {
     if p.is_empty() || q.is_empty() {
         return Err(DistanceError::EmptySequence);
     }
-    let first = (p[0] - q[0]).abs();
     if p.len() == 1 && q.len() == 1 {
         // The first and last aligned pair are the same cell; count it once.
-        return Ok(first);
+        return Ok((p[0] - q[0]).abs());
     }
-    let last = (p[p.len() - 1] - q[q.len() - 1]).abs();
-    Ok(first + last)
+    Ok(kim_ends(p[0], p[p.len() - 1], q[0], q[q.len() - 1]))
+}
+
+/// The crate's one LB_Kim expression for two series that are not both a
+/// single point, from their end elements: [`lb_kim`] and the subsequence
+/// search's haystack sweep both compute it here, so their bounds are
+/// bitwise equal. With finite inputs it is never NaN and never `-0.0`.
+#[inline(always)]
+pub(crate) fn kim_ends(p_first: f64, p_last: f64, q_first: f64, q_last: f64) -> f64 {
+    (p_first - q_first).abs() + (p_last - q_last).abs()
 }
 
 /// One Lemire streaming min/max pass: `out[i] = max(q[i-r ..= i+r])` when

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::batch::BatchEngine;
 use crate::dtw::{Band, Dtw};
 use crate::error::DistanceError;
-use crate::lower_bounds::{lb_kim, Cascade, PruneDecision};
+use crate::lower_bounds::{kim_ends, lb_kim, Cascade, PruneDecision};
 use crate::mining::prefilter::CandidateFilter;
 use crate::scratch::DpScratch;
 use crate::validate::ensure_finite;
@@ -173,9 +173,10 @@ impl SubsequenceSearch {
         }
     }
 
-    /// The one input check of both drivers: rejects a haystack shorter
-    /// than the window and any NaN or infinity (query first), then returns
-    /// the query as compared — z-normalized if enabled.
+    /// The query check of both drivers: rejects a haystack shorter than
+    /// the window and any NaN or infinity in the query, then returns the
+    /// query as compared — z-normalized if enabled. The haystack's
+    /// finiteness is each driver's next check.
     fn prepared_query(&self, query: &[f64], haystack: &[f64]) -> Result<Vec<f64>, DistanceError> {
         if haystack.len() < self.window {
             return Err(DistanceError::InvalidParameter {
@@ -188,7 +189,6 @@ impl SubsequenceSearch {
             });
         }
         ensure_finite("query", query)?;
-        ensure_finite("haystack", haystack)?;
         Ok(if self.z_normalize {
             z_normalized(query)
         } else {
@@ -198,14 +198,24 @@ impl SubsequenceSearch {
 
     /// Runs the search, returning the best match and pruning statistics.
     ///
-    /// An O(1)-per-window LB_Kim **scout pass** picks the most promising
-    /// window (ties to lowest offset); its full banded DTW is the starting
-    /// pruning threshold. Then one fused scan per engine chunk folds every
-    /// window's decision — the pre-filter, then the query's [`Cascade`]
-    /// (built once per search) with each LB_Keogh sum stopping once it
-    /// crosses the threshold — straight into a per-chunk partial,
-    /// tightening the threshold as it goes. The partials reduce in chunk
-    /// order, ties to the lowest offset, exactly like the serial scan.
+    /// A **scout** window — the first window of smallest LB_Kim — is
+    /// picked before the scan, and its full banded DTW is the starting
+    /// pruning threshold. For a raw (not z-normalized) query of at least
+    /// two points the scout comes from one fused sweep of the haystack
+    /// that reads each window's LB_Kim straight from its first and last
+    /// elements and certifies the haystack finite on the way; otherwise
+    /// the haystack is checked and every window is built to bound it.
+    ///
+    /// Then one scan per engine chunk folds every window's decision into
+    /// a per-chunk partial, tightening the threshold as it goes. On the
+    /// sweep's route without a pre-filter the scan tests LB_Kim in line
+    /// from the same two elements and hands only its survivors to the
+    /// query's [`Cascade`] (built once per search), whose LB_Keogh sums
+    /// stop once they cross the threshold; otherwise each window meets the
+    /// pre-filter first and then the whole cascade. The partials reduce
+    /// in chunk order, ties to the lowest offset, exactly like the serial
+    /// scan. Both routes compute every bound with the same expression, so
+    /// match and statistics do not depend on the route.
     ///
     /// Chunk boundaries depend only on the engine's chunk size, so match and
     /// statistics are identical for every thread count. A single chunk
@@ -230,14 +240,25 @@ impl SubsequenceSearch {
         // Scout: LB_Kim is admissible, so the window with the smallest bound
         // is the best guess at the match (first minimum on ties).
         let mut buf = Vec::new();
-        let mut scout = (0, f64::INFINITY);
-        for off in 0..windows {
-            let kim = lb_kim(&query, self.window_into(haystack, off, &mut buf))?;
-            if off == 0 || kim.total_cmp(&scout.1).is_lt() {
-                scout = (off, kim);
+        // The sweep reads bounds off raw haystack elements: not for
+        // z-normalized windows, and not for a one-point query, whose bound
+        // against a one-point window counts the one cell once.
+        let ends =
+            (!self.z_normalize && query.len() > 1).then(|| (query[0], query[query.len() - 1]));
+        let scout_off = match ends {
+            Some((first, last)) => kim_sweep(first, last, haystack, self.window)?,
+            None => {
+                ensure_finite("haystack", haystack)?;
+                let mut scout = (0, f64::INFINITY);
+                for off in 0..windows {
+                    let kim = lb_kim(&query, self.window_into(haystack, off, &mut buf))?;
+                    if off == 0 || kim.total_cmp(&scout.1).is_lt() {
+                        scout = (off, kim);
+                    }
+                }
+                scout.0
             }
-        }
-        let scout_off = scout.0;
+        };
         let best_ub = dtw.distance(&query, self.window_into(haystack, scout_off, &mut buf))?;
 
         // Program the stage-0 pre-filter for the (z-normalized) query at the
@@ -250,6 +271,10 @@ impl SubsequenceSearch {
             filter.program(DistanceKind::Dtw, &query, self.band_radius, best_ub)
         });
         let cascade = Cascade::new(&query, self.band_radius);
+        // LB_Kim in line from the window's end elements: only on the
+        // sweep's route, and only without a pre-filter, which must see
+        // every window before LB_Kim does.
+        let kim_in_line = ends.filter(|_| predicate.is_none());
 
         // Fused scan: every chunk starts from the scout threshold and
         // tightens it window by window. The true best window always
@@ -265,7 +290,6 @@ impl SubsequenceSearch {
                 let mut best = NO_MATCH;
                 let mut threshold = best_ub;
                 for off in range {
-                    let window = self.window_into(haystack, off, buf);
                     let d = if off == scout_off {
                         // The scout's full DTW is already known. Reusing it
                         // (instead of cascading, which a tightened threshold
@@ -273,10 +297,20 @@ impl SubsequenceSearch {
                         // window, so the match is a real, fully evaluated
                         // window.
                         best_ub
-                    } else if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
-                        stats.pruned_by_prefilter += 1;
-                        continue;
                     } else {
+                        if let Some((first, last)) = kim_in_line {
+                            let (head, tail) = (haystack[off], haystack[off + self.window - 1]);
+                            // The cascade's own first test, on the same bits.
+                            if kim_ends(first, last, head, tail) > threshold {
+                                stats.pruned_by_kim += 1;
+                                continue;
+                            }
+                        }
+                        let window = self.window_into(haystack, off, buf);
+                        if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
+                            stats.pruned_by_prefilter += 1;
+                            continue;
+                        }
                         match cascade.screen(window, threshold, scratch)? {
                             PruneDecision::Computed(d) => d,
                             PruneDecision::PrunedByKim(_) => {
@@ -336,6 +370,7 @@ impl SubsequenceSearch {
     /// Same as [`SubsequenceSearch::run`].
     pub fn run_brute_force(&self, query: &[f64], haystack: &[f64]) -> Result<Match, DistanceError> {
         let query = self.prepared_query(query, haystack)?;
+        ensure_finite("haystack", haystack)?;
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
         let mut buf = Vec::new();
         let mut best = NO_MATCH;
@@ -350,6 +385,79 @@ impl SubsequenceSearch {
         }
         Ok(best)
     }
+}
+
+/// Lanes of [`kim_sweep`]: independent first-minimum chains the compiler
+/// keeps in vector registers instead of one serial compare chain.
+const SWEEP_LANES: usize = 4;
+
+/// The scout and the haystack check of one search in one pass: every
+/// window's LB_Kim against a query of at least two points with ends
+/// `first`/`last`, read from the window's own first and last elements
+/// with [`lb_kim`]'s expression, and the offset of the first window of
+/// smallest bound. Fails with [`ensure_finite`]'s error if any haystack
+/// element is NaN or infinite.
+///
+/// Lane `l` holds the windows `l`, `l + 4`, … and keeps its first minimum
+/// with a strict `<`; the lanes combine by value, then lowest offset. With
+/// finite inputs a bound is never NaN or `-0.0`, so this is the
+/// `total_cmp` first minimum.
+///
+/// A finite bound certifies both of its elements. The two element streams
+/// cover `[0, windows)` and `[window - 1, len)`, so a haystack shorter
+/// than `2·window − 2` leaves a middle gap that is checked on its own. A
+/// bound that is not finite may be an overflow of finite elements, so it
+/// defers to [`ensure_finite`] for the verdict.
+fn kim_sweep(
+    first: f64,
+    last: f64,
+    haystack: &[f64],
+    window: usize,
+) -> Result<usize, DistanceError> {
+    let windows = haystack.len() - window + 1;
+    let (heads, tails) = (&haystack[..windows], &haystack[window - 1..]);
+    let mut head_chunks = heads.chunks_exact(SWEEP_LANES);
+    let mut tail_chunks = tails.chunks_exact(SWEEP_LANES);
+    // Per lane: its smallest bound, the chunk holding its first
+    // occurrence, and whether every bound was finite (a bound is never
+    // negative, so `< +∞` is false exactly for NaN and +∞).
+    let mut min = [f64::INFINITY; SWEEP_LANES];
+    let mut chunk_of = [0usize; SWEEP_LANES];
+    let mut finite = [true; SWEEP_LANES];
+    for (c, (h, t)) in (&mut head_chunks).zip(&mut tail_chunks).enumerate() {
+        for l in 0..SWEEP_LANES {
+            let kim = kim_ends(first, last, h[l], t[l]);
+            finite[l] &= kim < f64::INFINITY;
+            let lower = kim < min[l];
+            min[l] = if lower { kim } else { min[l] };
+            chunk_of[l] = if lower { c } else { chunk_of[l] };
+        }
+    }
+    // A lane that never went below +∞ reports chunk 0. If every bound is
+    // +∞, window 0 is the first minimum, and the ties keep it.
+    let mut scout = (f64::INFINITY, 0);
+    for l in 0..SWEEP_LANES {
+        let off = chunk_of[l] * SWEEP_LANES + l;
+        if min[l] < scout.0 || (min[l] == scout.0 && off < scout.1) {
+            scout = (min[l], off);
+        }
+    }
+    // The tail windows come after every lane's, so only a strictly
+    // smaller bound displaces the scout.
+    let base = windows - head_chunks.remainder().len();
+    let rest = head_chunks.remainder().iter().zip(tail_chunks.remainder());
+    for (off, (&h, &t)) in (base..).zip(rest) {
+        let kim = kim_ends(first, last, h, t);
+        finite[0] &= kim < f64::INFINITY;
+        if kim < scout.0 {
+            scout = (kim, off);
+        }
+    }
+    let gap = haystack.get(windows..window - 1).unwrap_or_default();
+    if finite.contains(&false) || gap.iter().any(|x| !x.is_finite()) {
+        ensure_finite("haystack", haystack)?;
+    }
+    Ok(scout.1)
 }
 
 #[cfg(test)]

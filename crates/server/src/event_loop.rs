@@ -787,6 +787,13 @@ impl EventLoop {
                         self.metrics.stream_points.add(out.accepted);
                         self.metrics.stream_evictions.add(out.evictions);
                         self.metrics.stream_events.add(out.events.len() as u64);
+                        let c = out.cascade;
+                        self.metrics.stream_cascade.record(
+                            c.pruned_kim as usize,
+                            c.pruned_keogh as usize,
+                            c.abandoned as usize,
+                            c.computed as usize,
+                        );
                         let mut queued = self.stream_events.borrow_mut();
                         for (target, sub_id, event) in out.events {
                             queued.push((

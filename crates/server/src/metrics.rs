@@ -138,7 +138,8 @@ impl Gauge {
 }
 
 /// How one task's pruned scans disposed of their candidates (training
-/// instances for kNN, windows for search), summed over scans.
+/// instances for kNN, windows for search, warm pushes for streams), summed
+/// over scans.
 #[derive(Debug, Default)]
 pub struct CascadeCounters {
     /// Candidates skipped on LB_Kim.
@@ -248,6 +249,8 @@ pub struct Metrics {
     pub knn_cascade: CascadeCounters,
     /// How subsequence searches disposed of their windows.
     pub search_cascade: CascadeCounters,
+    /// How push-mode streams' matchers disposed of their warm pushes.
+    pub stream_cascade: CascadeCounters,
     /// Analog fleet power currently reserved, microwatts (sampled at
     /// routing time, so it can lag lease releases by one submission).
     pub fleet_in_use_uw: Gauge,
@@ -462,6 +465,7 @@ impl Metrics {
         ));
         self.knn_cascade.render("knn", &mut out);
         self.search_cascade.render("search", &mut out);
+        self.stream_cascade.render("stream", &mut out);
         out.push_str(&format!(
             "mda_fleet_in_use_watts {:.6}\n",
             self.fleet_in_use_uw.get() as f64 / 1e6
@@ -563,6 +567,7 @@ mod tests {
         m.stream_push.record_us(60);
         m.knn_cascade.record(1, 200, 40, 15);
         m.search_cascade.record(0, 0, 0, 9);
+        m.stream_cascade.record(5, 2, 1, 3);
         let text = m.render_text();
         for needle in [
             "mda_requests_total{op=\"distance\"} 1",
@@ -597,6 +602,9 @@ mod tests {
             "mda_cascade_total{task=\"knn\",stage=\"full_dtw\"} 15",
             "mda_cascade_total{task=\"search\",stage=\"pruned_keogh\"} 0",
             "mda_cascade_total{task=\"search\",stage=\"full_dtw\"} 9",
+            "mda_cascade_total{task=\"stream\",stage=\"pruned_kim\"} 5",
+            "mda_cascade_total{task=\"stream\",stage=\"abandoned\"} 1",
+            "mda_cascade_total{task=\"stream\",stage=\"full_dtw\"} 3",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -140,6 +140,15 @@ struct QueueState {
     draining: bool,
 }
 
+/// The guard of a queue lock, whether or not the mutex is poisoned. A
+/// thread that panics while holding the lock poisons it; every critical
+/// section here leaves [`QueueState`] consistent at each point where it can
+/// unwind, so the state behind a poisoned lock is as good as any, and one
+/// panic must not turn every later submission into another.
+fn recover<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The shared coalescing queue.
 #[derive(Debug)]
 pub struct Coalescer {
@@ -170,7 +179,7 @@ impl Coalescer {
     /// (the shed counter is incremented here), [`SubmitError::ShuttingDown`]
     /// once draining has begun.
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = recover(self.state.lock());
         if state.draining {
             return Err(SubmitError::ShuttingDown);
         }
@@ -193,16 +202,13 @@ impl Coalescer {
 
     /// Work items currently queued (for tests and introspection).
     pub fn queued_items(&self) -> usize {
-        self.state
-            .lock()
-            .expect("queue mutex poisoned")
-            .queued_items
+        recover(self.state.lock()).queued_items
     }
 
     /// Starts draining: new submissions are refused, queued jobs will still
     /// be dispatched. Idempotent.
     pub fn begin_drain(&self) {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = recover(self.state.lock());
         state.draining = true;
         drop(state);
         self.cv.notify_all();
@@ -213,7 +219,7 @@ impl Coalescer {
     /// item count stays within the batch budget. Returns `None` when
     /// draining and empty — the dispatcher's exit signal.
     fn next_batch(&self) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = recover(self.state.lock());
         loop {
             if !state.jobs.is_empty() {
                 break;
@@ -221,10 +227,7 @@ impl Coalescer {
             if state.draining {
                 return None;
             }
-            let (next, _) = self
-                .cv
-                .wait_timeout(state, Duration::from_millis(100))
-                .expect("queue mutex poisoned");
+            let (next, _) = recover(self.cv.wait_timeout(state, Duration::from_millis(100)));
             state = next;
         }
         let mut batch = Vec::new();
@@ -236,12 +239,12 @@ impl Coalescer {
             }
             total += n;
             let job = state.jobs.pop_front().expect("front() was Some");
+            state.queued_items -= n;
             batch.push(job);
             if total >= self.batch_max_items {
                 break;
             }
         }
-        state.queued_items -= total;
         Some(batch)
     }
 
@@ -467,6 +470,31 @@ mod tests {
             route: None,
             lease: None,
         }
+    }
+
+    /// A thread that panics while holding the queue lock poisons it; the
+    /// queue keeps admitting and batching jobs with the count intact.
+    #[test]
+    fn poisoned_lock_keeps_the_queue_working() {
+        let queue = Arc::new(Coalescer::new(Arc::new(Metrics::new()), 8, 8));
+        let (tx, _rx) = mpsc::channel();
+        queue.submit(job(pair_items(2, 4), tx.clone())).unwrap();
+        let holder = Arc::clone(&queue);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.state.lock().unwrap();
+            panic!("poison the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(queue.state.is_poisoned());
+
+        queue.submit(job(pair_items(3, 4), tx)).unwrap();
+        assert_eq!(queue.queued_items(), 5);
+        let batch = queue.next_batch().expect("queued jobs");
+        assert_eq!(batch.iter().map(Job::weight).sum::<usize>(), 5);
+        assert_eq!(queue.queued_items(), 0);
+        queue.begin_drain();
+        assert!(queue.next_batch().is_none(), "drained and empty");
     }
 
     #[test]

@@ -69,6 +69,8 @@ pub struct PushOutcome {
     /// `(connection token, subscribe request id, event)` per subscriber
     /// per accepted push, in push order.
     pub events: Vec<(u64, u64, StreamEventBody)>,
+    /// Cascade outcomes of the batch's warm pushes.
+    pub cascade: PruneFrameStats,
 }
 
 /// The subscribe reply's payload.
@@ -94,8 +96,6 @@ struct StreamEntry {
     burn_in: u64,
     /// `(connection token, subscribe request id)`.
     subscribers: Vec<(u64, u64)>,
-    /// Cascade outcomes over this stream's warm pushes.
-    cascade: PruneFrameStats,
 }
 
 /// Every open stream on this event loop.
@@ -131,7 +131,6 @@ impl StreamRegistry {
                 pipeline,
                 burn_in,
                 subscribers: Vec::new(),
-                cascade: PruneFrameStats::default(),
             },
         );
         Ok(OpenOutcome {
@@ -163,6 +162,7 @@ impl StreamRegistry {
             epoch: entry.pipeline.epoch(),
             evictions: 0,
             events: Vec::new(),
+            cascade: PruneFrameStats::default(),
         };
         for &x in points {
             let result = entry.pipeline.push(x).map_err(RegistryError::Stream)?;
@@ -172,7 +172,7 @@ impl StreamRegistry {
                 outcome.evictions += 1;
             }
             if let Some(Value::Match(mf)) = result.matcher.value() {
-                entry.cascade.record(mf.decision);
+                outcome.cascade.record(mf.decision);
             }
             if entry.subscribers.is_empty() {
                 continue;
@@ -234,11 +234,6 @@ impl StreamRegistry {
             dropped += before - entry.subscribers.len();
         }
         dropped
-    }
-
-    /// Cascade outcome counts over a stream's warm pushes.
-    pub fn cascade_stats(&self, stream_id: u64) -> Option<PruneFrameStats> {
-        self.streams.get(&stream_id).map(|e| e.cascade)
     }
 
     /// Streams currently open.
@@ -348,15 +343,12 @@ mod tests {
         // Crossing burn-in turns events ready; the fifth push evicts.
         let out = reg.push(opened.stream_id, &[3.0, 4.0]).unwrap();
         assert_eq!((out.epoch, out.evictions), (5, 1));
+        assert_eq!(out.cascade.total(), 2, "both warm pushes run the cascade");
         assert!(matches!(
             out.events[1].2.state,
             StreamEventState::Ready { .. }
         ));
         assert!(reg.subscribe(opened.stream_id, 8, 100).unwrap().warm);
-        assert!(
-            reg.cascade_stats(opened.stream_id).unwrap().total() >= 1,
-            "warm pushes must run the cascade"
-        );
 
         let closed = reg.close(opened.stream_id).unwrap();
         assert_eq!(closed.pushed, 5);

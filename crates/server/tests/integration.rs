@@ -1184,6 +1184,7 @@ fn live_subscriptions_deliver_gap_free_differential_events() {
     // ready frames whose statistics are **bitwise** the batch z-norm of
     // the exact window the stream slid through.
     let mut last_epoch = sub.epoch;
+    let mut decisions = Vec::new();
     for i in 0..10 {
         let event = subscriber.next_event().expect("subscription event");
         assert_eq!(event.stream_id, opened.stream_id);
@@ -1213,6 +1214,7 @@ fn live_subscriptions_deliver_gap_free_differential_events() {
                     "unknown cascade decision {decision:?}"
                 );
                 assert!(bound.is_finite(), "certified bound must be finite");
+                decisions.push(decision);
             }
         }
     }
@@ -1231,12 +1233,31 @@ fn live_subscriptions_deliver_gap_free_differential_events() {
     for sub_no in 0..2 {
         let event = subscriber.next_event().expect("own event");
         assert_eq!(event.epoch, 11, "subscription {sub_no}");
+        if let (0, StreamEventState::Ready { decision, .. }) = (sub_no, event.state) {
+            decisions.push(decision);
+        }
     }
+    assert_eq!(
+        decisions.len(),
+        11 - (window - 1),
+        "one decision per warm push"
+    );
 
     let text = pusher.metrics_text().expect("metrics");
     assert!(text.contains("mda_streams_open 1"), "{text}");
     assert!(text.contains("mda_stream_points_total 11"), "{text}");
     assert!(text.contains("mda_stream_subscriptions 2"), "{text}");
+    // The stream's cascade counters tally exactly the decisions its events
+    // carried.
+    for (stage, decision) in [
+        ("pruned_kim", "pruned_kim"),
+        ("pruned_keogh", "pruned_keogh"),
+        ("abandoned", "abandoned"),
+        ("full_dtw", "computed"),
+    ] {
+        let carried = decisions.iter().filter(|d| *d == decision).count();
+        assert_eq!(cascade_counter(&text, "stream", stage), carried, "{stage}");
+    }
 
     assert_eq!(
         pusher.close_stream(opened.stream_id).expect("close"),
