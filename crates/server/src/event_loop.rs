@@ -638,20 +638,21 @@ impl EventLoop {
     /// Extracts and handles every complete frame in the buffer, respecting
     /// the per-connection pipeline-depth cap.
     fn advance_frames(&self, token: u64, conn: &mut Conn) {
+        // Payloads are decoded where they lie: the buffer leaves the
+        // connection for the loop (nothing below reads or fills it) and
+        // returns without the frames it handled.
+        let mut buf = std::mem::take(&mut conn.read_buf);
         let mut pos = 0usize;
         while !conn.kill_after_flush {
             if conn.in_flight >= self.config.max_pipeline_depth {
                 break; // parked: resumed when a completion frees depth
             }
-            let avail = conn.read_buf.len() - pos;
+            let avail = buf.len() - pos;
             if avail < 4 {
                 break;
             }
-            let len = u32::from_be_bytes(
-                conn.read_buf[pos..pos + 4]
-                    .try_into()
-                    .expect("4-byte slice"),
-            ) as usize;
+            let len =
+                u32::from_be_bytes(buf[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
             if len > self.config.max_frame_bytes {
                 // The payload was never read, so the stream is beyond
                 // resync: report and close (same contract as read_frame).
@@ -667,14 +668,12 @@ impl EventLoop {
             if avail < 4 + len {
                 break; // partial frame: wait for more reads
             }
-            let payload_start = pos + 4;
-            let payload: Vec<u8> = conn.read_buf[payload_start..payload_start + len].to_vec();
-            pos = payload_start + len;
-            self.handle_payload(token, conn, &payload);
+            let payload = pos + 4..pos + 4 + len;
+            pos = payload.end;
+            self.handle_payload(token, conn, &buf[payload]);
         }
-        if pos > 0 {
-            conn.read_buf.drain(..pos);
-        }
+        buf.drain(..pos);
+        conn.read_buf = buf;
     }
 
     /// Answers one request inline: counts the reply as ok or error and

@@ -265,14 +265,37 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, ProtocolErro
 // that table into both directions of the codec.
 // ---------------------------------------------------------------------------
 
-/// An object's fields: as parsed, or as written so far.
-type Obj = [(String, Json)];
+/// An object's fields: as parsed, or as written so far; or a value that
+/// is not an object, read as the one field a struct's `or` names.
+#[derive(Clone, Copy)]
+enum Obj<'a> {
+    Fields(&'a [(String, Json)]),
+    Bare(&'static str, &'a Json),
+}
 
 /// A type with a JSON value of its own.
 trait Value: Sized {
     fn to_json(&self) -> Json;
     /// Decode errors name no key; [`Field::take`] prefixes it.
     fn from_json(v: &Json) -> Result<Self, ProtocolError>;
+
+    /// An array of values: one node per element, except where a type
+    /// overrides both directions (numbers use the packed array).
+    fn array_to_json(items: &[Self]) -> Json {
+        Json::Arr(items.iter().map(Self::to_json).collect())
+    }
+
+    fn array_from_json(v: &Json) -> Result<Vec<Self>, ProtocolError> {
+        each(v)
+    }
+}
+
+/// Reads an array element by element.
+fn each<T: Value>(v: &Json) -> Result<Vec<T>, ProtocolError> {
+    expected(v.as_array(), "an array")?
+        .iter()
+        .map(T::from_json)
+        .collect()
 }
 
 /// A field of an object: one key for a [`Value`]; several keys for the
@@ -280,7 +303,7 @@ trait Value: Sized {
 trait Field: Sized {
     fn put(&self, key: &'static str, out: &mut Vec<(String, Json)>);
     /// `Ok(None)` when the field is absent (JSON `null` counts as absent).
-    fn take(obj: &Obj, key: &'static str) -> Result<Option<Self>, ProtocolError>;
+    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError>;
 }
 
 impl<T: Value> Field for T {
@@ -288,7 +311,7 @@ impl<T: Value> Field for T {
         out.push((key.into(), self.to_json()));
     }
 
-    fn take(obj: &Obj, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
         lookup(obj, key)
             .map(|v| T::from_json(v).map_err(|e| e.under(key)))
             .transpose()
@@ -303,7 +326,7 @@ impl<T: Field> Field for Option<T> {
         }
     }
 
-    fn take(obj: &Obj, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
         T::take(obj, key).map(Some)
     }
 }
@@ -321,19 +344,20 @@ impl ProtocolError {
     }
 }
 
-fn lookup<'a>(obj: &'a Obj, key: &str) -> Option<&'a Json> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .filter(|v| !matches!(v, Json::Null))
+fn lookup<'a>(obj: Obj<'a>, key: &str) -> Option<&'a Json> {
+    match obj {
+        Obj::Fields(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        Obj::Bare(k, v) => (k == key).then_some(v),
+    }
+    .filter(|v| !matches!(v, Json::Null))
 }
 
-fn required<T: Field>(obj: &Obj, key: &'static str) -> Result<T, ProtocolError> {
+fn required<T: Field>(obj: Obj<'_>, key: &'static str) -> Result<T, ProtocolError> {
     T::take(obj, key)?.ok_or_else(|| ProtocolError::Schema(format!("missing `{key}`")))
 }
 
 /// Rejects a field the message's form does not allow.
-fn absent(obj: &Obj, key: &'static str, why: &str) -> Result<(), ProtocolError> {
+fn absent(obj: Obj<'_>, key: &'static str, why: &str) -> Result<(), ProtocolError> {
     match lookup(obj, key) {
         None => Ok(()),
         Some(_) => Err(ProtocolError::Schema(format!("`{key}` {why}"))),
@@ -344,9 +368,9 @@ fn expected<T>(value: Option<T>, what: &str) -> Result<T, ProtocolError> {
     value.ok_or_else(|| ProtocolError::Schema(format!("expected {what}")))
 }
 
-fn object(v: &Json) -> Result<&Obj, ProtocolError> {
+fn object(v: &Json) -> Result<Obj<'_>, ProtocolError> {
     match v {
-        Json::Obj(fields) => Ok(fields),
+        Json::Obj(fields) => Ok(Obj::Fields(fields)),
         _ => expected(None, "an object"),
     }
 }
@@ -356,7 +380,7 @@ fn object(v: &Json) -> Result<&Obj, ProtocolError> {
 /// appear; without one it is the other way round. The reference precedes
 /// those fields in wire order, so encoding asks the same question of the
 /// object written so far.
-fn carries_dataset(obj: &Obj) -> bool {
+fn carries_dataset(obj: Obj<'_>) -> bool {
     lookup(obj, "dataset").is_some() || lookup(obj, "dataset_name").is_some()
 }
 
@@ -375,10 +399,10 @@ macro_rules! field {
         if $v.is_finite() { Field::put($v, $key, $out) }
     };
     (@put $out:ident, $v:ident, $key:expr, [Inline]) => {
-        if !carries_dataset($out) { Field::put($v, $key, $out) }
+        if !carries_dataset(Obj::Fields($out)) { Field::put($v, $key, $out) }
     };
     (@put $out:ident, $v:ident, $key:expr, [Resident]) => {
-        if carries_dataset($out) { Field::put($v, $key, $out) }
+        if carries_dataset(Obj::Fields($out)) { Field::put($v, $key, $out) }
     };
     (@take $obj:ident, $t:ty, $key:expr, [Inline], [$($default:expr)?]) => {
         if carries_dataset($obj) {
@@ -406,7 +430,8 @@ macro_rules! field {
 
 /// Defines a struct carried as one JSON object, fields in wire order (the
 /// `impl` form describes a struct defined elsewhere). With `or field`, a
-/// value that is not an object reads as that field alone.
+/// value that is not an object reads as that field alone, borrowed, not
+/// copied.
 macro_rules! wire_struct {
     ($(#[$m:meta])* pub struct $S:ident {
         $($(#[$fm:meta])* $f:ident: $t:ty $(as $key:literal)? $([$rule:ident])? $(= $default:expr)?),* $(,)?
@@ -431,11 +456,10 @@ macro_rules! wire_struct {
             }
 
             fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-                $(if !matches!(v, Json::Obj(_)) {
-                    let single = Json::Obj(vec![(stringify!($bare).into(), v.clone())]);
-                    return Self::from_json(&single);
-                })?
-                let obj = object(v)?;
+                let obj = match v {
+                    $(_ if !matches!(v, Json::Obj(_)) => Obj::Bare(stringify!($bare), v),)?
+                    _ => object(v)?,
+                };
                 Ok($S {
                     $($f: field!(@take obj, $t, field!(@key $f $($key)?), [$($rule)?], [$($default)?])),*
                 })
@@ -472,7 +496,7 @@ macro_rules! tagged_enum {
                 }
             }
 
-            fn take(obj: &Obj, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+            fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
                 let Some(tag) = lookup(obj, key) else { return Ok(None) };
                 Ok(Some(match expected(tag.as_str(), "a string").map_err(|e| e.under(key))? {
                     $($tag => $E::$V $({
@@ -588,7 +612,7 @@ impl Field for DatasetRef {
         self.version.put("version", out);
     }
 
-    fn take(obj: &Obj, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
         let found = DatasetRef {
             id: Field::take(obj, "dataset")?,
             name: Field::take(obj, "dataset_name")?,
@@ -1083,7 +1107,7 @@ impl Field for RouteInfo {
         self.bound.put("bound", out);
     }
 
-    fn take(obj: &Obj, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
         let Some(backend) = Field::take(obj, "backend")? else {
             return Ok(None);
         };
@@ -1145,7 +1169,6 @@ macro_rules! scalars {
 }
 
 scalars! {
-    f64: |x| Json::Num(*x), |v| v.as_f64(), "a number";
     u64: |x| Json::Num(*x as f64), |v| v.as_u64(), "a non-negative integer";
     usize: |x| Json::Num(*x as f64), |v| v.as_usize(), "a non-negative integer";
     u32: |x| Json::Num(f64::from(*x)), |v| v.as_u64().and_then(|n| u32::try_from(n).ok()),
@@ -1160,16 +1183,37 @@ scalars! {
         "a known error code";
 }
 
-impl<T: Value> Value for Vec<T> {
+/// Series travel as the parser's packed arrays: decoding copies the
+/// parsed vector once and encoding builds one node, with nothing per
+/// sample.
+impl Value for f64 {
     fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
+        Json::Num(*self)
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        expected(v.as_array(), "an array")?
-            .iter()
-            .map(T::from_json)
-            .collect()
+        expected(v.as_f64(), "a number")
+    }
+
+    fn array_to_json(xs: &[f64]) -> Json {
+        Json::from_f64s(xs)
+    }
+
+    fn array_from_json(v: &Json) -> Result<Vec<f64>, ProtocolError> {
+        match v {
+            Json::Nums(xs) => Ok(xs.clone()),
+            _ => each(v),
+        }
+    }
+}
+
+impl<T: Value> Value for Vec<T> {
+    fn to_json(&self) -> Json {
+        T::array_to_json(self)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+        T::array_from_json(v)
     }
 }
 
@@ -1180,7 +1224,7 @@ impl<A: Value, B: Value> Value for (A, B) {
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        match v.as_array() {
+        match v.as_array().as_deref() {
             Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
             _ => expected(None, "a pair `[p, q]`"),
         }
@@ -1204,7 +1248,7 @@ impl Value for Sla {
             Json::Str(s) => Err(ProtocolError::InvalidParameter(format!(
                 "unknown accuracy `{s}` (expected \"exact\" or {{\"tolerance\": ε}})"
             ))),
-            Json::Obj(obj) => Sla::tolerance(required(obj, "tolerance")?)
+            Json::Obj(obj) => Sla::tolerance(required(Obj::Fields(obj), "tolerance")?)
                 .map_err(|e| ProtocolError::InvalidParameter(e.to_string())),
             _ => expected(None, "\"exact\" or {\"tolerance\": ε}"),
         }
