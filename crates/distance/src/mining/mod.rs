@@ -25,4 +25,4 @@ pub use kmedoids::{KMedoids, KMedoidsResult};
 pub use knn::{banded_dtw_knn, rank_and_vote, Classified, KnnClassifier, KnnStats};
 pub use motif::{Motif, MotifDiscovery, MotifStats};
 pub use prefilter::{AdmitAll, CandidateFilter, CandidatePredicate};
-pub use search::{SearchStats, SubsequenceSearch};
+pub use search::{BlockSummary, SearchStats, SubsequenceSearch};

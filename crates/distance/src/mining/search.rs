@@ -5,7 +5,8 @@
 //! Slides a query over a long series and returns the best-matching window.
 //! Every window that passes the stage-0 pre-filter is decided by the
 //! query's [`Cascade`], the one decision body of the crate's scans; this
-//! module adds only the scout, the pre-filter and the chunked reduction.
+//! module adds the scout, the pre-filter, the chunked reduction and the
+//! [`BlockSummary`] that bounds LB_Kim for 64 windows at a time.
 
 use std::sync::Arc;
 
@@ -198,30 +199,10 @@ impl SubsequenceSearch {
 
     /// Runs the search, returning the best match and pruning statistics.
     ///
-    /// A **scout** window — the first window of smallest LB_Kim — is
-    /// picked before the scan, and its full banded DTW is the starting
-    /// pruning threshold. For a raw (not z-normalized) query of at least
-    /// two points the scout comes from one fused sweep of the haystack
-    /// that reads each window's LB_Kim straight from its first and last
-    /// elements and certifies the haystack finite on the way; otherwise
-    /// the haystack is checked and every window is built to bound it.
-    ///
-    /// Then one scan per engine chunk folds every window's decision into
-    /// a per-chunk partial, tightening the threshold as it goes. On the
-    /// sweep's route without a pre-filter the scan tests LB_Kim in line
-    /// from the same two elements and hands only its survivors to the
-    /// query's [`Cascade`] (built once per search), whose LB_Keogh sums
-    /// stop once they cross the threshold; otherwise each window meets the
-    /// pre-filter first and then the whole cascade. The partials reduce
-    /// in chunk order, ties to the lowest offset, exactly like the serial
-    /// scan. Both routes compute every bound with the same expression, so
-    /// match and statistics do not depend on the route.
-    ///
-    /// Chunk boundaries depend only on the engine's chunk size, so match and
-    /// statistics are identical for every thread count. A single chunk
-    /// (`with_chunk_size(usize::MAX)`) carries the best-so-far across the
-    /// whole haystack; the match is the same at every chunk size, only the
-    /// statistics shift between stages.
+    /// Builds the haystack's [`BlockSummary`] and runs
+    /// [`run_with_summary`](Self::run_with_summary); a caller that searches
+    /// one haystack many times can build the summary once and call that
+    /// instead.
     ///
     /// # Errors
     ///
@@ -233,22 +214,82 @@ impl SubsequenceSearch {
         query: &[f64],
         haystack: &[f64],
     ) -> Result<(Match, SearchStats), DistanceError> {
+        self.run_with_summary(query, haystack, &BlockSummary::new(haystack))
+    }
+
+    /// Runs the search over a haystack whose [`BlockSummary`] is already
+    /// built, returning the best match and pruning statistics. The result
+    /// is bitwise [`run`](Self::run)'s.
+    ///
+    /// A **scout** window — the first window of smallest LB_Kim — is
+    /// picked before the scan, and its full banded DTW is the starting
+    /// pruning threshold. For a raw (not z-normalized) query of at least
+    /// two points the summary bounds LB_Kim for each block of
+    /// [`BLOCK`] windows at once (see [`BlockSummary`]), so the scout
+    /// examines only the block of least bound and the blocks whose bound
+    /// does not exceed the best LB_Kim found; otherwise every window is
+    /// built to bound it.
+    ///
+    /// Then one scan per engine chunk folds every window's decision into
+    /// a per-chunk partial, tightening the threshold as it goes. On the
+    /// raw route without a pre-filter, a block whose bound exceeds the
+    /// threshold when the scan reaches it is pruned by LB_Kim whole: the
+    /// threshold only falls, so each of its windows would have been. Every
+    /// other window meets the pre-filter, if any, and then the query's
+    /// [`Cascade`] (built once per search), whose LB_Keogh sums stop once
+    /// they cross the threshold. The partials reduce in chunk order, ties
+    /// to the lowest offset, exactly like the serial scan.
+    ///
+    /// Chunk boundaries depend only on the engine's chunk size, so match and
+    /// statistics are identical for every thread count. A single chunk
+    /// (`with_chunk_size(usize::MAX)`) carries the best-so-far across the
+    /// whole haystack; the match is the same at every chunk size, only the
+    /// statistics shift between stages.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistanceError::InvalidParameter`] if the summary was built
+    /// from a series of another length, the haystack is shorter than the
+    /// window or either input contains a NaN or infinity, or propagates
+    /// distance errors.
+    pub fn run_with_summary(
+        &self,
+        query: &[f64],
+        haystack: &[f64],
+        summary: &BlockSummary,
+    ) -> Result<(Match, SearchStats), DistanceError> {
+        if summary.len != haystack.len() {
+            return Err(DistanceError::InvalidParameter {
+                name: "summary",
+                reason: format!(
+                    "summary of {} samples for a haystack of {}",
+                    summary.len,
+                    haystack.len()
+                ),
+            });
+        }
         let query = self.prepared_query(query, haystack)?;
+        if !summary.finite {
+            ensure_finite("haystack", haystack)?;
+        }
         let windows = haystack.len() - self.window + 1;
         let dtw = Dtw::new().with_band(Band::SakoeChiba(self.band_radius));
 
         // Scout: LB_Kim is admissible, so the window with the smallest bound
         // is the best guess at the match (first minimum on ties).
         let mut buf = Vec::new();
-        // The sweep reads bounds off raw haystack elements: not for
+        // Block bounds read LB_Kim off raw haystack elements: not for
         // z-normalized windows, and not for a one-point query, whose bound
         // against a one-point window counts the one cell once.
         let ends =
             (!self.z_normalize && query.len() > 1).then(|| (query[0], query[query.len() - 1]));
-        let scout_off = match ends {
-            Some((first, last)) => kim_sweep(first, last, haystack, self.window)?,
+        let (scout_off, bounds) = match ends {
+            Some((first, last)) => {
+                let bounds = summary.kim_bounds(first, last, self.window);
+                let scout = block_scout(first, last, haystack, self.window, &bounds);
+                (scout, bounds)
+            }
             None => {
-                ensure_finite("haystack", haystack)?;
                 let mut scout = (0, f64::INFINITY);
                 for off in 0..windows {
                     let kim = lb_kim(&query, self.window_into(haystack, off, &mut buf))?;
@@ -256,7 +297,7 @@ impl SubsequenceSearch {
                         scout = (off, kim);
                     }
                 }
-                scout.0
+                (scout.0, Vec::new())
             }
         };
         let best_ub = dtw.distance(&query, self.window_into(haystack, scout_off, &mut buf))?;
@@ -271,10 +312,13 @@ impl SubsequenceSearch {
             filter.program(DistanceKind::Dtw, &query, self.band_radius, best_ub)
         });
         let cascade = Cascade::new(&query, self.band_radius);
-        // LB_Kim in line from the window's end elements: only on the
-        // sweep's route, and only without a pre-filter, which must see
+        // Whole blocks are pruned only without a pre-filter, which must see
         // every window before LB_Kim does.
-        let kim_in_line = ends.filter(|_| predicate.is_none());
+        let skippable = if predicate.is_none() {
+            &bounds[..]
+        } else {
+            &[]
+        };
 
         // Fused scan: every chunk starts from the scout threshold and
         // tightens it window by window. The true best window always
@@ -289,54 +333,61 @@ impl SubsequenceSearch {
                 };
                 let mut best = NO_MATCH;
                 let mut threshold = best_ub;
-                for off in range {
-                    let d = if off == scout_off {
-                        // The scout's full DTW is already known. Reusing it
-                        // (instead of cascading, which a tightened threshold
-                        // could abandon) guarantees at least one computed
-                        // window, so the match is a real, fully evaluated
-                        // window.
-                        best_ub
-                    } else {
-                        if let Some((first, last)) = kim_in_line {
-                            let (head, tail) = (haystack[off], haystack[off + self.window - 1]);
-                            // The cascade's own first test, on the same bits.
-                            if kim_ends(first, last, head, tail) > threshold {
-                                stats.pruned_by_kim += 1;
-                                continue;
-                            }
-                        }
-                        let window = self.window_into(haystack, off, buf);
-                        if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
-                            stats.pruned_by_prefilter += 1;
-                            continue;
-                        }
-                        match cascade.screen(window, threshold, scratch)? {
-                            PruneDecision::Computed(d) => d,
-                            PruneDecision::PrunedByKim(_) => {
-                                stats.pruned_by_kim += 1;
-                                continue;
-                            }
-                            PruneDecision::PrunedByKeogh(_) => {
-                                stats.pruned_by_keogh += 1;
-                                continue;
-                            }
-                            PruneDecision::AbandonedEarly => {
-                                stats.abandoned_early += 1;
-                                continue;
-                            }
-                        }
-                    };
-                    stats.full_computations += 1;
-                    if d < threshold {
-                        threshold = d;
+                let mut start = range.start;
+                while start < range.end {
+                    let block = start / BLOCK;
+                    let end = ((block + 1) * BLOCK).min(range.end);
+                    if skippable.get(block).is_some_and(|&b| b > threshold) {
+                        // Never the scout's block: every threshold is a
+                        // computed DTW, at least its window's LB_Kim, at
+                        // least the scout's, at least this bound.
+                        debug_assert_ne!(block, scout_off / BLOCK, "scout block pruned");
+                        stats.pruned_by_kim += end - start;
+                        start = end;
+                        continue;
                     }
-                    if d < best.distance {
-                        best = Match {
-                            offset: off,
-                            distance: d,
+                    for off in start..end {
+                        let d = if off == scout_off {
+                            // The scout's full DTW is already known. Reusing
+                            // it (instead of cascading, which a tightened
+                            // threshold could abandon) guarantees at least
+                            // one computed window, so the match is a real,
+                            // fully evaluated window.
+                            best_ub
+                        } else {
+                            let window = self.window_into(haystack, off, buf);
+                            if predicate.as_ref().is_some_and(|p| !p.admit(window)) {
+                                stats.pruned_by_prefilter += 1;
+                                continue;
+                            }
+                            match cascade.screen(window, threshold, scratch)? {
+                                PruneDecision::Computed(d) => d,
+                                PruneDecision::PrunedByKim(_) => {
+                                    stats.pruned_by_kim += 1;
+                                    continue;
+                                }
+                                PruneDecision::PrunedByKeogh(_) => {
+                                    stats.pruned_by_keogh += 1;
+                                    continue;
+                                }
+                                PruneDecision::AbandonedEarly => {
+                                    stats.abandoned_early += 1;
+                                    continue;
+                                }
+                            }
                         };
+                        stats.full_computations += 1;
+                        if d < threshold {
+                            threshold = d;
+                        }
+                        if d < best.distance {
+                            best = Match {
+                                offset: off,
+                                distance: d,
+                            };
+                        }
                     }
+                    start = end;
                 }
                 Ok((stats, best))
             },
@@ -387,77 +438,179 @@ impl SubsequenceSearch {
     }
 }
 
-/// Lanes of [`kim_sweep`]: independent first-minimum chains the compiler
-/// keeps in vector registers instead of one serial compare chain.
-const SWEEP_LANES: usize = 4;
+/// Samples per block of a [`BlockSummary`], and windows per block of its
+/// LB_Kim bounds.
+pub const BLOCK: usize = 64;
 
-/// The scout and the haystack check of one search in one pass: every
-/// window's LB_Kim against a query of at least two points with ends
-/// `first`/`last`, read from the window's own first and last elements
-/// with [`lb_kim`]'s expression, and the offset of the first window of
-/// smallest bound. Fails with [`ensure_finite`]'s error if any haystack
-/// element is NaN or infinite.
+/// Lanes of [`BlockSummary::new`]'s pass: independent min/max chains
+/// over a block. Two (one SSE2 register each) measured fastest on x86-64:
+/// wider arrays made the compiler spill them to the stack.
+const SUMMARY_LANES: usize = 2;
+
+/// A series summarized per block of [`BLOCK`] samples: each block's
+/// smallest and largest element, and whether every element is finite.
 ///
-/// Lane `l` holds the windows `l`, `l + 4`, … and keeps its first minimum
-/// with a strict `<`; the lanes combine by value, then lowest offset. With
-/// finite inputs a bound is never NaN or `-0.0`, so this is the
-/// `total_cmp` first minimum.
+/// It costs two `f64` per 64 samples (about 3 % of the series) and one
+/// branch-free pass to build, so a server keeps one beside each resident
+/// series. [`SubsequenceSearch::run_with_summary`] reads it in two ways:
 ///
-/// A finite bound certifies both of its elements. The two element streams
-/// cover `[0, windows)` and `[window - 1, len)`, so a haystack shorter
-/// than `2·window − 2` leaves a middle gap that is checked on its own. A
-/// bound that is not finite may be an overflow of finite elements, so it
-/// defers to [`ensure_finite`] for the verdict.
-fn kim_sweep(
-    first: f64,
-    last: f64,
-    haystack: &[f64],
-    window: usize,
-) -> Result<usize, DistanceError> {
+/// - the finite flag stands in for the haystack's NaN/infinity check;
+/// - for a query with end elements `first` and `last` and a window of `w`
+///   samples, the windows starting in block `b` have their first element
+///   in sample block `b` and their last in the one or two sample blocks
+///   covering `[64·b + w − 1, 64·b + 63 + w − 1]`. With
+///   `gap(x, [lo, hi])` the distance from `x` to the interval (`lo − x`,
+///   `x − hi` or `0`), the block's bound is
+///   `gap(first, head block) + gap(last, tail blocks)`. Rounded
+///   subtraction and addition are monotone, so with finite inputs the
+///   bound is never above any of the block's windows' LB_Kim bits, and
+///   one comparison decides LB_Kim for 64 windows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockSummary {
+    /// Samples summarized.
+    len: usize,
+    /// Per block, its smallest element.
+    lo: Vec<f64>,
+    /// Per block, its largest element.
+    hi: Vec<f64>,
+    /// Whether every element is finite.
+    finite: bool,
+}
+
+impl BlockSummary {
+    /// Summarizes `series` in one branch-free pass.
+    pub fn new(series: &[f64]) -> Self {
+        let blocks = series.len().div_ceil(BLOCK);
+        let mut lo = Vec::with_capacity(blocks);
+        let mut hi = Vec::with_capacity(blocks);
+        // `x * 0.0` is `±0.0` for every finite `x` and NaN otherwise, so the
+        // sums stay zero exactly when every element is finite.
+        let mut poison = [0.0f64; SUMMARY_LANES];
+        let mut whole = series.chunks_exact(BLOCK);
+        for block in &mut whole {
+            let mut min = [f64::INFINITY; SUMMARY_LANES];
+            let mut max = [f64::NEG_INFINITY; SUMMARY_LANES];
+            for xs in block.chunks_exact(SUMMARY_LANES) {
+                for l in 0..SUMMARY_LANES {
+                    min[l] = least(min[l], xs[l]);
+                    max[l] = greatest(max[l], xs[l]);
+                    poison[l] += xs[l] * 0.0;
+                }
+            }
+            lo.push(min.into_iter().fold(f64::INFINITY, least));
+            hi.push(max.into_iter().fold(f64::NEG_INFINITY, greatest));
+        }
+        let rest = whole.remainder();
+        if !rest.is_empty() {
+            lo.push(rest.iter().copied().fold(f64::INFINITY, least));
+            hi.push(rest.iter().copied().fold(f64::NEG_INFINITY, greatest));
+            poison[0] += rest.iter().map(|x| x * 0.0).sum::<f64>();
+        }
+        BlockSummary {
+            len: series.len(),
+            lo,
+            hi,
+            finite: poison.iter().all(|&p| p == 0.0),
+        }
+    }
+
+    /// A lower bound on LB_Kim for each block of [`BLOCK`] windows of
+    /// `window` samples (block `b` holds the windows starting at
+    /// `64·b … 64·b + 63`), against a query of at least two points with
+    /// ends `first`/`last`; see the type's documentation. With a finite
+    /// series and finite ends, entry `b` is never above any of those
+    /// windows' [`lb_kim`] bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or longer than the series.
+    pub fn kim_bounds(&self, first: f64, last: f64, window: usize) -> Vec<f64> {
+        assert!(
+            (1..=self.len).contains(&window),
+            "window {window} outside 1..={}",
+            self.len
+        );
+        let windows = self.len - window + 1;
+        (0..windows.div_ceil(BLOCK))
+            .map(|b| {
+                let first_tail = (b * BLOCK + window - 1) / BLOCK;
+                let last_tail = ((b * BLOCK + BLOCK).min(windows) - 1 + window - 1) / BLOCK;
+                let tail_lo = self.lo[first_tail].min(self.lo[last_tail]);
+                let tail_hi = self.hi[first_tail].max(self.hi[last_tail]);
+                gap(first, self.lo[b], self.hi[b]) + gap(last, tail_lo, tail_hi)
+            })
+            .collect()
+    }
+}
+
+/// The smaller of two finite values, as one compare-select (SSE2 `minpd`).
+#[inline(always)]
+fn least(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The larger of two finite values, as one compare-select.
+#[inline(always)]
+fn greatest(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The distance from `x` to `[lo, hi]` under rounding: `lo − x`, `x − hi`
+/// or zero. Never above `|x − y|` rounded, for any `y` in the interval.
+fn gap(x: f64, lo: f64, hi: f64) -> f64 {
+    (lo - x).max(x - hi).max(0.0)
+}
+
+/// The offset of the first window of smallest LB_Kim against a query of
+/// at least two points with ends `first`/`last`, each bound read from the
+/// window's own first and last elements with [`lb_kim`]'s expression.
+///
+/// It examines the block of least bound (the first, on ties), then every
+/// other block whose bound is not above the smallest LB_Kim found so far,
+/// keeping the least `(bound, offset)`. A block it passes over holds only
+/// windows whose bound is above that smallest one, so this is the
+/// `total_cmp` first minimum over every window: with finite inputs a bound
+/// is never NaN or `-0.0`.
+fn block_scout(first: f64, last: f64, haystack: &[f64], window: usize, bounds: &[f64]) -> usize {
     let windows = haystack.len() - window + 1;
-    let (heads, tails) = (&haystack[..windows], &haystack[window - 1..]);
-    let mut head_chunks = heads.chunks_exact(SWEEP_LANES);
-    let mut tail_chunks = tails.chunks_exact(SWEEP_LANES);
-    // Per lane: its smallest bound, the chunk holding its first
-    // occurrence, and whether every bound was finite (a bound is never
-    // negative, so `< +∞` is false exactly for NaN and +∞).
-    let mut min = [f64::INFINITY; SWEEP_LANES];
-    let mut chunk_of = [0usize; SWEEP_LANES];
-    let mut finite = [true; SWEEP_LANES];
-    for (c, (h, t)) in (&mut head_chunks).zip(&mut tail_chunks).enumerate() {
-        for l in 0..SWEEP_LANES {
-            let kim = kim_ends(first, last, h[l], t[l]);
-            finite[l] &= kim < f64::INFINITY;
-            let lower = kim < min[l];
-            min[l] = if lower { kim } else { min[l] };
-            chunk_of[l] = if lower { c } else { chunk_of[l] };
+    let examine = |b: usize, best: &mut (f64, usize)| {
+        let range = b * BLOCK..(b * BLOCK + BLOCK).min(windows);
+        let heads = &haystack[range.clone()];
+        let tails = &haystack[range.start + window - 1..range.end + window - 1];
+        // The block's own first minimum: its windows come in offset order.
+        let mut first_min = (f64::INFINITY, usize::MAX);
+        for (off, (&h, &t)) in range.zip(heads.iter().zip(tails)) {
+            let kim = kim_ends(first, last, h, t);
+            if kim < first_min.0 || first_min.1 == usize::MAX {
+                first_min = (kim, off);
+            }
+        }
+        if first_min.0 < best.0 || (first_min.0 == best.0 && first_min.1 < best.1) {
+            *best = first_min;
+        }
+    };
+    let mut lead = 0;
+    for (b, &bound) in bounds.iter().enumerate() {
+        if bound < bounds[lead] {
+            lead = b;
         }
     }
-    // A lane that never went below +∞ reports chunk 0. If every bound is
-    // +∞, window 0 is the first minimum, and the ties keep it.
-    let mut scout = (f64::INFINITY, 0);
-    for l in 0..SWEEP_LANES {
-        let off = chunk_of[l] * SWEEP_LANES + l;
-        if min[l] < scout.0 || (min[l] == scout.0 && off < scout.1) {
-            scout = (min[l], off);
+    let mut best = (f64::INFINITY, usize::MAX);
+    examine(lead, &mut best);
+    for (b, &bound) in bounds.iter().enumerate() {
+        if b != lead && bound <= best.0 {
+            examine(b, &mut best);
         }
     }
-    // The tail windows come after every lane's, so only a strictly
-    // smaller bound displaces the scout.
-    let base = windows - head_chunks.remainder().len();
-    let rest = head_chunks.remainder().iter().zip(tail_chunks.remainder());
-    for (off, (&h, &t)) in (base..).zip(rest) {
-        let kim = kim_ends(first, last, h, t);
-        finite[0] &= kim < f64::INFINITY;
-        if kim < scout.0 {
-            scout = (kim, off);
-        }
-    }
-    let gap = haystack.get(windows..window - 1).unwrap_or_default();
-    if finite.contains(&false) || gap.iter().any(|x| !x.is_finite()) {
-        ensure_finite("haystack", haystack)?;
-    }
-    Ok(scout.1)
+    best.1
 }
 
 #[cfg(test)]

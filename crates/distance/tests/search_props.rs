@@ -16,7 +16,8 @@ use mda_acam::{AcamPrefilter, FaultPlan, MarginPolicy};
 use mda_distance::lower_bounds::{lb_kim, Cascade, PruneDecision};
 use mda_distance::mining::prefilter::CandidateFilter;
 use mda_distance::mining::search::Match;
-use mda_distance::mining::{SearchStats, SubsequenceSearch};
+use mda_distance::mining::search::BLOCK;
+use mda_distance::mining::{BlockSummary, SearchStats, SubsequenceSearch};
 use mda_distance::znorm::z_normalized;
 use mda_distance::{Band, BatchEngine, DistanceError, DistanceKind, DpScratch, Dtw};
 
@@ -629,7 +630,7 @@ fn sweep_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The fused sweep and the in-line LB_Kim test decide every window as
+    /// The block scout and the block-pruning scan decide every window as
     /// the window-by-window reference does, on every route.
     #[test]
     fn sweep_matches_the_reference_search(
@@ -713,9 +714,9 @@ proptest! {
     }
 }
 
-/// LB_Kim overflows to +∞ on finite elements at ±1e308: the sweep must
-/// hand that to `ensure_finite`, which passes, and the search goes on to
-/// prune those windows by LB_Kim exactly as the reference does.
+/// LB_Kim overflows to +∞ on finite elements at ±1e308: that is not an
+/// error, and the search goes on to prune those windows by LB_Kim exactly
+/// as the reference does.
 #[test]
 fn kim_overflow_on_finite_haystacks_is_not_an_error() {
     let mut haystack: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -742,10 +743,9 @@ fn kim_overflow_on_finite_haystacks_is_not_an_error() {
 }
 
 /// Windows that tie for the smallest LB_Kim but differ in DTW: the scout
-/// must be the first of them whether the two share a sweep lane (offsets
-/// 4 apart), sit in different lanes, or one lies past the last whole group
-/// of four windows. A later scout starts from a different threshold, which
-/// moves windows between cascade stages.
+/// must be the first of them, whatever their distance. A later scout
+/// starts from a different threshold, which moves windows between cascade
+/// stages. (`block_pins.rs` pins ties across block edges.)
 #[test]
 fn tied_bounds_keep_the_first_window_as_scout() {
     let query = [0.0, 5.0, 5.0, 0.0];
@@ -773,5 +773,144 @@ fn tied_bounds_keep_the_first_window_as_scout() {
             };
             check_sweep(c, &query, &haystack);
         }
+    }
+}
+
+/// `(query, haystack, window)` over several blocks: a random walk that
+/// jumps every 48 points (so whole blocks sit far from the query), with
+/// ±1e308 and signed-zero runs mixed in, and a query cut from it or drawn
+/// fresh with the window's length.
+fn block_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, usize)> {
+    (1usize..90, 0usize..260, 0usize..2).prop_flat_map(|(window, extra, fresh)| {
+        let len = window + extra;
+        (
+            prop::collection::vec(sweep_value(), len),
+            prop::collection::vec(-4.0f64..4.0, window),
+            0..=extra,
+        )
+            .prop_map(move |(draws, drawn, at)| {
+                let mut x = 0.0;
+                let haystack: Vec<f64> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| {
+                        x += d.clamp(-1.0, 1.0) + if i % 48 == 47 { 20.0 } else { 0.0 };
+                        if d.abs() > 1e300 {
+                            *d
+                        } else if i % 97 < 5 {
+                            [0.0, -0.0][i % 2]
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                let query = if fresh == 1 {
+                    drawn
+                } else {
+                    haystack[at..at + window].to_vec()
+                };
+                (query, haystack, window)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A block's LB_Kim bound is never above the LB_Kim of any window it
+    /// covers, bit for bit, and there is one bound per block of windows.
+    #[test]
+    fn block_bounds_never_exceed_a_covered_windows_kim(
+        case in block_case(),
+        ends in prop::collection::vec(sweep_value(), 2),
+    ) {
+        let (_, haystack, window) = case;
+        let bounds = BlockSummary::new(&haystack).kim_bounds(ends[0], ends[1], window);
+        let windows = haystack.len() - window + 1;
+        prop_assert_eq!(bounds.len(), windows.div_ceil(BLOCK));
+        for off in 0..windows {
+            let kim = lb_kim(&ends, &haystack[off..off + window]).unwrap();
+            prop_assert!(
+                bounds[off / BLOCK] <= kim,
+                "window {} bound {} above LB_Kim {}", off, bounds[off / BLOCK], kim
+            );
+        }
+    }
+
+    /// Over several blocks, at chunk sizes around the block length, the
+    /// block route decides every window as the reference does.
+    #[test]
+    fn block_route_matches_the_reference_search(
+        case in block_case(),
+        radius in 0usize..4,
+        prefilter in 0usize..2,
+        chunk in 0usize..6,
+    ) {
+        let (query, haystack, window) = case;
+        let c = Config {
+            window,
+            radius,
+            z_normalize: false,
+            prefilter: prefilter == 1,
+            chunk: [1, 7, 63, 64, 65, usize::MAX][chunk],
+        };
+        check_sweep(c, &query, &haystack);
+    }
+}
+
+/// A summary that does not describe the haystack it is given is refused,
+/// and a prebuilt one answers as `run` does.
+#[test]
+fn prebuilt_summaries_answer_like_run() {
+    let haystack: Vec<f64> = (0..300).map(|i| (i as f64 * 0.13).sin() * 3.0).collect();
+    let query = haystack[150..182].to_vec();
+    let search = SubsequenceSearch::new(32, 2);
+    let summary = BlockSummary::new(&haystack);
+    let got = search
+        .run_with_summary(&query, &haystack, &summary)
+        .unwrap();
+    assert_eq!(got, search.run(&query, &haystack).unwrap());
+    let short = BlockSummary::new(&haystack[..299]);
+    let err = search
+        .run_with_summary(&query, &haystack, &short)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            DistanceError::InvalidParameter {
+                name: "summary",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+}
+
+/// The scout examines a block whose bound equals the best LB_Kim found so
+/// far, not only those below it: block 2's windows (offsets 128…191) all
+/// have LB_Kim 2, as do block 5's, whose bound is only 1, so block 5 is
+/// examined first, and the first minimum, offset 128, is found only by
+/// examining block 2 on the tie. The two scouts' DTWs differ (3 and 2.5),
+/// so a later scout would start from another threshold.
+#[test]
+fn a_block_bound_tying_the_best_kim_is_examined() {
+    let mut haystack = vec![10.0; 64 * 7];
+    haystack[128..=193].fill(1.0);
+    for (i, x) in haystack[320..=385].iter_mut().enumerate() {
+        *x = [0.5, 0.5, 1.5, 1.5][i % 4];
+    }
+    let query = [0.0, 0.0, 0.0];
+    let bounds = BlockSummary::new(&haystack).kim_bounds(0.0, 0.0, 3);
+    assert_eq!((bounds[2], bounds[5]), (2.0, 1.0));
+    for chunk in [1, usize::MAX] {
+        let c = Config {
+            window: 3,
+            radius: 0,
+            z_normalize: false,
+            prefilter: false,
+            chunk,
+        };
+        check_sweep(c, &query, &haystack);
+        assert_eq!(c.search().run(&query, &haystack).unwrap().0.offset, 320);
     }
 }

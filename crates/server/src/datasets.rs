@@ -17,8 +17,17 @@
 //! dataset for a query clones reference counts, not samples — the resolved
 //! series are bitwise the uploaded ones, which is what keeps the served
 //! results on the resident path identical to direct `BatchEngine` calls.
+//!
+//! Each stored series carries its [`BlockSummary`] (per 64-sample block its
+//! min and max, plus an all-finite flag), built once when new content is
+//! stored — an idempotent re-upload builds none — so every subsequence
+//! search over a resident series skips the summary pass and prunes LB_Kim
+//! 64 windows at a time. A summary holds two `f64` per 64 samples, about
+//! 3 % on top of the samples; the upload reply's `bytes` and the store's
+//! byte budget count samples only.
 
 use crate::protocol::{DatasetRef, DatasetSummary, ErrorCode};
+use mda_distance::mining::BlockSummary;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -54,6 +63,8 @@ pub struct ResolvedDataset {
     pub version: u64,
     pub labels: Arc<[usize]>,
     pub series: Arc<[Arc<[f64]>]>,
+    /// Block summaries, index-aligned with `series`.
+    pub summaries: Arc<[Arc<BlockSummary>]>,
     pub bytes: u64,
 }
 
@@ -71,6 +82,7 @@ struct Stored {
     version: u64,
     labels: Arc<[usize]>,
     series: Arc<[Arc<[f64]>]>,
+    summaries: Arc<[Arc<BlockSummary>]>,
     bytes: u64,
 }
 
@@ -173,6 +185,11 @@ impl DatasetStore {
         }
         inner.total_bytes = projected;
         inner.id_index.insert(dataset_id.clone(), name.to_string());
+        let summaries = series
+            .iter()
+            .map(|s| Arc::new(BlockSummary::new(s)))
+            .collect::<Vec<_>>()
+            .into();
         inner.by_name.insert(
             name.to_string(),
             Stored {
@@ -184,6 +201,7 @@ impl DatasetStore {
                     .map(Arc::<[f64]>::from)
                     .collect::<Vec<_>>()
                     .into(),
+                summaries,
                 bytes,
             },
         );
@@ -242,6 +260,7 @@ impl DatasetStore {
             version: stored.version,
             labels: Arc::clone(&stored.labels),
             series: Arc::clone(&stored.series),
+            summaries: Arc::clone(&stored.summaries),
             bytes: stored.bytes,
         })
     }
@@ -319,6 +338,22 @@ mod tests {
         assert_eq!(a.count, 2);
         assert_eq!(a.bytes, 4 * 8);
         assert_eq!(store.stats(), (1, 32));
+    }
+
+    #[test]
+    fn summaries_are_built_once_per_stored_content() {
+        let store = DatasetStore::new(u64::MAX);
+        let (labels, series) = two_series();
+        store.upload("s", labels.clone(), series.clone()).unwrap();
+        let first = store.resolve(&DatasetRef::by_name("s")).unwrap();
+        assert_eq!(first.summaries.len(), series.len());
+        for (summary, s) in first.summaries.iter().zip(&series) {
+            assert_eq!(**summary, BlockSummary::new(s));
+        }
+        // An idempotent re-upload keeps the stored summaries.
+        store.upload("s", labels, series).unwrap();
+        let again = store.resolve(&DatasetRef::by_name("s")).unwrap();
+        assert!(Arc::ptr_eq(&first.summaries, &again.summaries));
     }
 
     #[test]

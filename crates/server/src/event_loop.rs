@@ -338,12 +338,12 @@ impl Conn {
         Ok(true)
     }
 
-    /// Reads everything currently available, recording a clean EOF in
-    /// `read_closed`; `Err` = connection is dead.
-    fn fill(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; READ_CHUNK];
+    /// Reads everything currently available through `chunk`, the loop's
+    /// one read buffer, recording a clean EOF in `read_closed`; `Err` =
+    /// connection is dead.
+    fn fill(&mut self, chunk: &mut [u8]) -> io::Result<()> {
         loop {
-            match (&self.stream).read(&mut chunk) {
+            match (&self.stream).read(chunk) {
                 Ok(0) => {
                     self.read_closed = true;
                     return Ok(());
@@ -407,6 +407,8 @@ impl EventLoop {
         let mut next_token = FIRST_CONN_TOKEN;
         let mut listener = Some(listener);
         let mut events = vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        // Zeroed once: every readable connection reads through it.
+        let mut chunk = vec![0u8; READ_CHUNK];
         let mut flush_deadline: Option<Instant> = None;
 
         while let Ok(n) = poller.wait(&mut events, 100) {
@@ -433,7 +435,7 @@ impl EventLoop {
                             continue;
                         }
                         if bits & EPOLLIN != 0 {
-                            if conn.fill().is_err() {
+                            if conn.fill(&mut chunk).is_err() {
                                 dead.push(token);
                                 continue;
                             }

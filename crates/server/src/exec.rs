@@ -16,7 +16,9 @@
 //! * `search` → a single item that runs the full pruned subsequence
 //!   search serially inside one worker, as **one chunk**
 //!   (`BatchEngine::serial().with_chunk_size(usize::MAX)`): the
-//!   best-so-far tightens across the whole haystack. The match is bitwise
+//!   best-so-far tightens across the whole haystack. The item carries the
+//!   haystack's [`BlockSummary`] — the resident series' own, or one built
+//!   here for an inline haystack. The match is bitwise
 //!   `SubsequenceSearch::run`'s at any chunk size; the `SearchStats` the
 //!   item reports (and `/metrics` exports) are the one-chunk partition.
 //!
@@ -36,7 +38,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mda_distance::mining::{
-    banded_dtw_knn, rank_and_vote, Classified, KnnStats, SearchStats, SubsequenceSearch,
+    banded_dtw_knn, rank_and_vote, BlockSummary, Classified, KnnStats, SearchStats,
+    SubsequenceSearch,
 };
 use mda_distance::{BatchEngine, DistanceError, DistanceKind, DpScratch};
 use mda_routing::{evaluate_routed, BackendId, PairRequest};
@@ -100,6 +103,8 @@ pub enum WorkItem {
         query: Arc<[f64]>,
         /// The series to scan.
         haystack: Arc<[f64]>,
+        /// The haystack's block summary.
+        summary: Arc<BlockSummary>,
         /// Window length.
         window: usize,
         /// Sakoe–Chiba radius.
@@ -347,8 +352,9 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
             band,
             ..
         } => {
-            let haystack: Arc<[f64]> = if let Some(dref) = dataset {
-                // Resident form: scan one series of the dataset.
+            let (haystack, summary) = if let Some(dref) = dataset {
+                // Resident form: scan one series of the dataset, with the
+                // summary built at upload.
                 let resolved = store.resolve(&dref)?;
                 let s = resolved
                     .series
@@ -361,14 +367,16 @@ pub fn decompose(req: Request, store: &DatasetStore) -> Result<Option<Decomposed
                         resolved.series.len()
                     ),
                     })?;
-                Arc::clone(s)
+                (Arc::clone(s), Arc::clone(&resolved.summaries[series_index]))
             } else {
-                haystack.into()
+                let summary = Arc::new(BlockSummary::new(&haystack));
+                (haystack.into(), summary)
             };
             Ok(Some(Decomposed {
                 items: vec![WorkItem::Search {
                     query: query.into(),
                     haystack,
+                    summary,
                     window,
                     band,
                 }],
@@ -488,6 +496,7 @@ fn route_item(
         WorkItem::Search {
             query,
             haystack,
+            summary,
             window,
             band,
         } => {
@@ -496,7 +505,7 @@ fn route_item(
             let search = SubsequenceSearch::new(*window, *band)
                 .with_engine(BatchEngine::serial().with_chunk_size(usize::MAX));
             let outcome = search
-                .run(query, haystack)
+                .run_with_summary(query, haystack, summary)
                 .map(|(m, stats)| ItemOutcome::Match {
                     offset: m.offset,
                     distance: m.distance,

@@ -266,18 +266,20 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, ProtocolErro
 // ---------------------------------------------------------------------------
 
 /// An object's fields: as parsed, or as written so far; or a value that
-/// is not an object, read as the one field a struct's `or` names.
-#[derive(Clone, Copy)]
+/// is not an object, read as the one field a struct's `or` names. Held
+/// mutably so decoding can move a field's packed numbers out of the parse
+/// tree instead of copying them.
 enum Obj<'a> {
-    Fields(&'a [(String, Json)]),
-    Bare(&'static str, &'a Json),
+    Fields(&'a mut [(String, Json)]),
+    Bare(&'static str, &'a mut Json),
 }
 
 /// A type with a JSON value of its own.
 trait Value: Sized {
     fn to_json(&self) -> Json;
-    /// Decode errors name no key; [`Field::take`] prefixes it.
-    fn from_json(v: &Json) -> Result<Self, ProtocolError>;
+    /// Decode errors name no key; [`Field::take`] prefixes it. May move
+    /// data out of `v`: each value is decoded once.
+    fn from_json(v: &mut Json) -> Result<Self, ProtocolError>;
 
     /// An array of values: one node per element, except where a type
     /// overrides both directions (numbers use the packed array).
@@ -285,17 +287,22 @@ trait Value: Sized {
         Json::Arr(items.iter().map(Self::to_json).collect())
     }
 
-    fn array_from_json(v: &Json) -> Result<Vec<Self>, ProtocolError> {
+    fn array_from_json(v: &mut Json) -> Result<Vec<Self>, ProtocolError> {
         each(v)
     }
 }
 
-/// Reads an array element by element.
-fn each<T: Value>(v: &Json) -> Result<Vec<T>, ProtocolError> {
-    expected(v.as_array(), "an array")?
-        .iter()
-        .map(T::from_json)
-        .collect()
+/// Reads an array element by element (a packed array as one number per
+/// element).
+fn each<T: Value>(v: &mut Json) -> Result<Vec<T>, ProtocolError> {
+    match v {
+        Json::Arr(items) => items.iter_mut().map(T::from_json).collect(),
+        Json::Nums(xs) => xs
+            .iter()
+            .map(|&x| T::from_json(&mut Json::Num(x)))
+            .collect(),
+        _ => expected(None, "an array"),
+    }
 }
 
 /// A field of an object: one key for a [`Value`]; several keys for the
@@ -303,7 +310,7 @@ fn each<T: Value>(v: &Json) -> Result<Vec<T>, ProtocolError> {
 trait Field: Sized {
     fn put(&self, key: &'static str, out: &mut Vec<(String, Json)>);
     /// `Ok(None)` when the field is absent (JSON `null` counts as absent).
-    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError>;
+    fn take(obj: &mut Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError>;
 }
 
 impl<T: Value> Field for T {
@@ -311,8 +318,8 @@ impl<T: Value> Field for T {
         out.push((key.into(), self.to_json()));
     }
 
-    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
-        lookup(obj, key)
+    fn take(obj: &mut Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+        lookup_mut(obj, key)
             .map(|v| T::from_json(v).map_err(|e| e.under(key)))
             .transpose()
     }
@@ -326,7 +333,7 @@ impl<T: Field> Field for Option<T> {
         }
     }
 
-    fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: &mut Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
         T::take(obj, key).map(Some)
     }
 }
@@ -344,20 +351,29 @@ impl ProtocolError {
     }
 }
 
-fn lookup<'a>(obj: Obj<'a>, key: &str) -> Option<&'a Json> {
+fn lookup<'a>(obj: &'a Obj<'_>, key: &str) -> Option<&'a Json> {
     match obj {
         Obj::Fields(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        Obj::Bare(k, v) => (k == key).then_some(v),
+        Obj::Bare(k, v) => (*k == key).then_some(&**v),
     }
     .filter(|v| !matches!(v, Json::Null))
 }
 
-fn required<T: Field>(obj: Obj<'_>, key: &'static str) -> Result<T, ProtocolError> {
+/// [`lookup`], for decoding the field.
+fn lookup_mut<'a>(obj: &'a mut Obj<'_>, key: &str) -> Option<&'a mut Json> {
+    match obj {
+        Obj::Fields(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        Obj::Bare(k, v) => (*k == key).then_some(&mut **v),
+    }
+    .filter(|v| !matches!(v, Json::Null))
+}
+
+fn required<T: Field>(obj: &mut Obj<'_>, key: &'static str) -> Result<T, ProtocolError> {
     T::take(obj, key)?.ok_or_else(|| ProtocolError::Schema(format!("missing `{key}`")))
 }
 
 /// Rejects a field the message's form does not allow.
-fn absent(obj: Obj<'_>, key: &'static str, why: &str) -> Result<(), ProtocolError> {
+fn absent(obj: &Obj<'_>, key: &'static str, why: &str) -> Result<(), ProtocolError> {
     match lookup(obj, key) {
         None => Ok(()),
         Some(_) => Err(ProtocolError::Schema(format!("`{key}` {why}"))),
@@ -368,7 +384,7 @@ fn expected<T>(value: Option<T>, what: &str) -> Result<T, ProtocolError> {
     value.ok_or_else(|| ProtocolError::Schema(format!("expected {what}")))
 }
 
-fn object(v: &Json) -> Result<Obj<'_>, ProtocolError> {
+fn object(v: &mut Json) -> Result<Obj<'_>, ProtocolError> {
     match v {
         Json::Obj(fields) => Ok(Obj::Fields(fields)),
         _ => expected(None, "an object"),
@@ -380,7 +396,7 @@ fn object(v: &Json) -> Result<Obj<'_>, ProtocolError> {
 /// appear; without one it is the other way round. The reference precedes
 /// those fields in wire order, so encoding asks the same question of the
 /// object written so far.
-fn carries_dataset(obj: Obj<'_>) -> bool {
+fn carries_dataset(obj: &Obj<'_>) -> bool {
     lookup(obj, "dataset").is_some() || lookup(obj, "dataset_name").is_some()
 }
 
@@ -399,10 +415,10 @@ macro_rules! field {
         if $v.is_finite() { Field::put($v, $key, $out) }
     };
     (@put $out:ident, $v:ident, $key:expr, [Inline]) => {
-        if !carries_dataset(Obj::Fields($out)) { Field::put($v, $key, $out) }
+        if !carries_dataset(&Obj::Fields($out)) { Field::put($v, $key, $out) }
     };
     (@put $out:ident, $v:ident, $key:expr, [Resident]) => {
-        if carries_dataset(Obj::Fields($out)) { Field::put($v, $key, $out) }
+        if carries_dataset(&Obj::Fields($out)) { Field::put($v, $key, $out) }
     };
     (@take $obj:ident, $t:ty, $key:expr, [Inline], [$($default:expr)?]) => {
         if carries_dataset($obj) {
@@ -455,8 +471,8 @@ macro_rules! wire_struct {
                 Json::Obj(fields)
             }
 
-            fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-                let obj = match v {
+            fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
+                let obj = &mut match v {
                     $(_ if !matches!(v, Json::Obj(_)) => Obj::Bare(stringify!($bare), v),)?
                     _ => object(v)?,
                 };
@@ -496,7 +512,7 @@ macro_rules! tagged_enum {
                 }
             }
 
-            fn take(obj: Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
+            fn take(obj: &mut Obj<'_>, key: &'static str) -> Result<Option<Self>, ProtocolError> {
                 let Some(tag) = lookup(obj, key) else { return Ok(None) };
                 Ok(Some(match expected(tag.as_str(), "a string").map_err(|e| e.under(key))? {
                     $($tag => $E::$V $({
@@ -535,8 +551,8 @@ macro_rules! keyed_enum {
                 Json::Obj(fields)
             }
 
-            fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-                let obj = object(v)?;
+            fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
+                let obj = &mut object(v)?;
                 $(if lookup(obj, $tag).is_some() {
                     return Ok($E::$V $((required::<$tt>(obj, $tag)?))? $({
                         $($f: field!(@take obj, $t, field!(@key $f $($key)?), [$($rule)?], [$($default)?])),*
@@ -612,7 +628,7 @@ impl Field for DatasetRef {
         self.version.put("version", out);
     }
 
-    fn take(obj: Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: &mut Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
         let found = DatasetRef {
             id: Field::take(obj, "dataset")?,
             name: Field::take(obj, "dataset_name")?,
@@ -1107,7 +1123,7 @@ impl Field for RouteInfo {
         self.bound.put("bound", out);
     }
 
-    fn take(obj: Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
+    fn take(obj: &mut Obj<'_>, _key: &'static str) -> Result<Option<Self>, ProtocolError> {
         let Some(backend) = Field::take(obj, "backend")? else {
             return Ok(None);
         };
@@ -1161,7 +1177,7 @@ macro_rules! scalars {
                 $to
             }
 
-            fn from_json($v: &Json) -> Result<Self, ProtocolError> {
+            fn from_json($v: &mut Json) -> Result<Self, ProtocolError> {
                 expected($from, $what)
             }
         }
@@ -1183,15 +1199,15 @@ scalars! {
         "a known error code";
 }
 
-/// Series travel as the parser's packed arrays: decoding copies the
-/// parsed vector once and encoding builds one node, with nothing per
+/// Series travel as the parser's packed arrays: decoding moves the parsed
+/// vector out of the tree and encoding builds one node, with nothing per
 /// sample.
 impl Value for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+    fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
         expected(v.as_f64(), "a number")
     }
 
@@ -1199,9 +1215,9 @@ impl Value for f64 {
         Json::from_f64s(xs)
     }
 
-    fn array_from_json(v: &Json) -> Result<Vec<f64>, ProtocolError> {
+    fn array_from_json(v: &mut Json) -> Result<Vec<f64>, ProtocolError> {
         match v {
-            Json::Nums(xs) => Ok(xs.clone()),
+            Json::Nums(xs) => Ok(std::mem::take(xs)),
             _ => each(v),
         }
     }
@@ -1212,7 +1228,7 @@ impl<T: Value> Value for Vec<T> {
         T::array_to_json(self)
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+    fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
         T::array_from_json(v)
     }
 }
@@ -1223,9 +1239,16 @@ impl<A: Value, B: Value> Value for (A, B) {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        match v.as_array().as_deref() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+    fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
+        match v {
+            Json::Arr(items) => match &mut items[..] {
+                [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
+                _ => expected(None, "a pair `[p, q]`"),
+            },
+            Json::Nums(xs) if xs.len() == 2 => Ok((
+                A::from_json(&mut Json::Num(xs[0]))?,
+                B::from_json(&mut Json::Num(xs[1]))?,
+            )),
             _ => expected(None, "a pair `[p, q]`"),
         }
     }
@@ -1242,13 +1265,13 @@ impl Value for Sla {
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+    fn from_json(v: &mut Json) -> Result<Self, ProtocolError> {
         match v {
             Json::Str(s) if s == "exact" => Ok(Sla::Exact),
             Json::Str(s) => Err(ProtocolError::InvalidParameter(format!(
                 "unknown accuracy `{s}` (expected \"exact\" or {{\"tolerance\": ε}})"
             ))),
-            Json::Obj(obj) => Sla::tolerance(required(Obj::Fields(obj), "tolerance")?)
+            Json::Obj(obj) => Sla::tolerance(required(&mut Obj::Fields(obj), "tolerance")?)
                 .map_err(|e| ProtocolError::InvalidParameter(e.to_string())),
             _ => expected(None, "\"exact\" or {\"tolerance\": ε}"),
         }
@@ -1269,7 +1292,7 @@ wire_struct!(impl Bound { abs: f64, rel: f64 });
 /// for structurally invalid messages, [`ProtocolError::InvalidParameter`]
 /// for out-of-domain values. Never panics, whatever the payload.
 pub fn decode_request(payload: &[u8]) -> Result<Envelope, ProtocolError> {
-    let env = Envelope::from_json(&Json::parse(payload)?)?;
+    let env = Envelope::from_json(&mut Json::parse(payload)?)?;
     env.req.validate()?;
     Ok(env)
 }
@@ -1300,8 +1323,8 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 ///
 /// [`ProtocolError::Json`] / [`ProtocolError::Schema`]; never panics.
 pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
-    let v = Json::parse(payload)?;
-    let obj = object(&v)?;
+    let mut v = Json::parse(payload)?;
+    let obj = &mut object(&mut v)?;
     let id = required(obj, "id")?;
     let ok: bool = required(obj, "ok")?;
     let route = required(obj, "route")?;
